@@ -5,6 +5,8 @@ A Tape is a single-threaded recording context: operations executed inside
 can flow, and `backward(tape, loss)` replays them in exact reverse order.
 Tensors are 2-D (rows, cols) and always double precision; non-finite values
 are rejected at construction, which covers every op boundary.
+Op outputs are adopted without a copy; the finiteness check still runs at
+each op boundary.
 
 Everything here is deterministic: identical inputs give bit-identical
 outputs, and no kernel consumes randomness.
@@ -31,8 +33,13 @@ class Tensor:
 
     __slots__ = ("values", "requires_grad", "grad", "__weakref__")
 
-    def __init__(self, values, requires_grad=False):
-        arr = np.array(values, dtype=np.float64, order="C")
+    def __init__(self, values, requires_grad=False, *, _adopt=False):
+        # _adopt: `values` is a fresh op result that nothing else holds, so
+        # it is taken over rather than copied (only _emit passes it)
+        if _adopt:
+            arr = np.asarray(values, dtype=np.float64, order="C")
+        else:
+            arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -123,7 +130,7 @@ class Tape:
 
 def _emit(out_values, inputs, vjp):
     """Create the output tensor, recording a node if a gradient can flow."""
-    out = Tensor(out_values)
+    out = Tensor(out_values, _adopt=True)
     tape = active_tape()
     if tape is not None and any(tape._needs_grad(t) for t in inputs):
         tape._record(out, inputs, vjp)
@@ -172,12 +179,19 @@ def _check_shape(cond, msg):
         raise ValueError(msg)
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b, plus a (1, cols) bias row broadcast over the rows if given."""
     _check_shape(a.shape[1] == b.shape[0],
                  f"matmul shape mismatch: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    return _emit(av @ bv, (a, b),
-                 lambda g: (g @ bv.T, av.T @ g))
+    out = av @ bv
+    if bias is None:
+        return _emit(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    _check_shape(bias.shape == (1, out.shape[1]),
+                 f"bias shape {bias.shape} does not broadcast over {out.shape}")
+    out += bias.values
+    return _emit(out, (a, b, bias),
+                 lambda g: (g @ bv.T, av.T @ g, g.sum(axis=0, keepdims=True)))
 
 
 def transpose(a):
@@ -208,12 +222,9 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh", "prelu", "sigmoid")
 
 
 def stable_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp only ever sees -|z| <= 0, so it cannot overflow
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def activation(h, kind):
@@ -224,9 +235,11 @@ def activation(h, kind):
         return _emit(out, (h,), lambda g: (g * mask,))
     if kind == "leaky_relu" or kind == "prelu":
         slope = LEAKY_SLOPE if kind == "leaky_relu" else PRELU_SLOPE
-        out = np.where(x > 0, x, slope * x)
-        mask = np.where(x > 0, 1.0, slope)
-        return _emit(out, (h,), lambda g: (g * mask,))
+        # 1.0 where x > 0, slope elsewhere; (1 - slope) + slope == 1.0
+        # exactly for both slopes, so x * mask equals the two-branch form
+        mask = (x > 0) * (1.0 - slope)
+        mask += slope
+        return _emit(x * mask, (h,), lambda g: (g * mask,))
     if kind == "tanh":
         out = np.tanh(x)
         return _emit(out, (h,), lambda g: (g * (1.0 - out * out),))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Adam, Tape, Tensor, activation, add_bias, backward,
+from .autodiff import (Adam, Tape, Tensor, activation, backward,
                        bce_with_logits, gather_rows, matmul, stable_sigmoid)
 from .encoders import encode, glorot, init_encoder
 from .graph import LABEL_UNKNOWN, cached_normalized_adjacency
@@ -74,8 +74,8 @@ def classifier_logits(h, clf):
     """
     if not isinstance(h, Tensor):
         h = Tensor(clf.standardize(np.asarray(h, dtype=np.float64)))
-    z = activation(add_bias(matmul(h, clf.w1), clf.b1), clf.activation)
-    return add_bias(matmul(z, clf.w2), clf.b2)
+    z = activation(matmul(h, clf.w1, bias=clf.b1), clf.activation)
+    return matmul(z, clf.w2, bias=clf.b2)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """GCN and GIN encoders mapping an attributed graph to node representations.
 
 GCN layer: H' = act(Â H W + b) over the normalized adjacency Â.
-GIN layer: H' = act(MLP((1 + eps) H + A H)) with sum aggregation over the raw
-adjacency, a 2-layer perceptron per layer, and eps fixed at 0.
+GIN layer: H' = act(MLP(H + A H)) with sum aggregation over the raw
+adjacency and a 2-layer perceptron per layer.
 The configured activation is applied after every layer, including the last.
 """
 
@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .autodiff import (ACTIVATIONS, Tensor, activation, add, add_bias,
-                       as_tensor, matmul, scale, spmm)
+                       as_tensor, matmul, spmm)
 from .graph import raw_adjacency
 
 ENCODER_KINDS = ("gcn", "gin")
@@ -46,7 +46,6 @@ class EncoderState:
         self.seed = seed
         self.layers = layers
         self.frozen = frozen
-        self.gin_eps = 0.0
 
     def params(self):
         """All weight tensors in declaration order (layer by layer)."""
@@ -128,9 +127,9 @@ def encode(state, graph, adjnorm, features_override=None):
     else:
         adj = raw_adjacency(graph)
         for w1, b1, w2, b2 in state.layers:
-            z = add(scale(h, 1.0 + state.gin_eps), spmm(adj, h))
-            z = activation(add_bias(matmul(z, w1), b1), cfg.activation)
-            h = activation(add_bias(matmul(z, w2), b2), cfg.activation)
+            z = add(h, spmm(adj, h))
+            z = activation(matmul(z, w1, bias=b1), cfg.activation)
+            h = activation(matmul(z, w2, bias=b2), cfg.activation)
     return h
 
 

@@ -124,15 +124,13 @@ def normalize_adjacency(g):
     counts = g.degrees + 1  # room for the diagonal entry
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(counts)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    weights = np.empty(indptr[-1], dtype=np.float64)
-    for u in range(n):
-        nbrs = g.neighbors(u)
-        merged = np.sort(np.append(nbrs, u))
-        lo, hi = indptr[u], indptr[u + 1]
-        indices[lo:hi] = merged
-        weights[lo:hi] = 1.0 / np.sqrt((deg[u] + 1.0) * (deg[merged] + 1.0))
-    return NormalizedAdjacency(n, _freeze(indptr), _freeze(indices), _freeze(weights))
+    nodes = np.arange(n)
+    row = np.concatenate([np.repeat(nodes, g.degrees), nodes])
+    col = np.concatenate([g.indices, nodes])
+    order = np.lexsort((col, row))  # by row, then column within a row
+    row, col = row[order], col[order]
+    weights = 1.0 / np.sqrt((deg[row] + 1.0) * (deg[col] + 1.0))
+    return NormalizedAdjacency(n, _freeze(indptr), _freeze(col), _freeze(weights))
 
 
 _RAW_CACHE = weakref.WeakKeyDictionary()

@@ -16,14 +16,12 @@ import numpy as np
 from .autodiff import (Adam, Tape, add, backward, bce_with_logits,
                        concat_rows, mean_rows, scale)
 from .data import load_dataset, save_dataset
-from .detector import (_probabilities, class_weights, classifier_logits,
-                       fit_classifier, init_classifier)
+from .detector import (VAL_CHECK_EVERY, _probabilities, class_weights,
+                       classifier_logits, fit_classifier, init_classifier)
 from .encoders import encode, init_encoder
 from .graph import cached_normalized_adjacency
 from .metrics import auprc, auroc
 from .pretrain import DgiConfig, MaeConfig, dgi_loss, graphmae_loss
-
-VAL_CHECK_EVERY = 10
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 import numpy as np
 import pytest
 
@@ -14,6 +16,20 @@ def test_tensor_rejects_non_finite():
         Tensor([[1.0, np.nan]])
     with pytest.raises(NonFiniteError):
         Tensor([[np.inf]])
+
+
+def test_tensor_copies_its_input():
+    arr = np.ones((2, 2))
+    t = Tensor(arr)
+    arr[0, 0] = 5.0
+    assert np.array_equal(t.values, np.ones((2, 2)))
+
+
+def test_op_overflow_still_raises():
+    # op outputs are adopted without a copy but still checked for finiteness
+    big = Tensor(np.full((2, 2), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        ad.matmul(big, big)
 
 
 def test_tensor_is_double_precision():
@@ -58,6 +74,41 @@ def test_sigmoid_at_zero():
     assert ad.activation(Tensor([[0.0]]), "sigmoid").values[0, 0] == 0.5
 
 
+@settings(max_examples=80, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(0, 30), elements=st.floats(-1e300, 1e300)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("kind, slope", [("leaky_relu", ad.LEAKY_SLOPE),
+                                         ("prelu", ad.PRELU_SLOPE)])
+def test_slope_activations_match_two_branch_form(kind, slope, x, seed):
+    x = np.concatenate([x, [0.0, -0.0]]).reshape(1, -1)
+    h = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = ad.activation(h, kind)
+    assert out.values.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+    g = np.random.default_rng(seed).standard_normal(x.shape)
+    (got,) = tape._nodes[-1].vjp(g)
+    assert got.tobytes() == (g * np.where(x > 0, 1.0, slope)).tobytes()
+
+
+def _masked_sigmoid(z):
+    """The boolean-mask form stable_sigmoid replaced; kept as its oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+                  elements=st.floats(-800.0, 800.0) | st.sampled_from([0.0, -0.0])))
+def test_stable_sigmoid_matches_masked_form(z):
+    with np.errstate(over="raise"):
+        got = ad.stable_sigmoid(z)
+    assert got.tobytes() == _masked_sigmoid(z).tobytes()
+
+
 def test_unknown_activation_rejected():
     with pytest.raises(ValueError, match="unknown activation"):
         ad.activation(Tensor([[1.0]]), "gelu")
@@ -97,6 +148,9 @@ def test_elementary_kernel_gradients():
     assert_gradients_match(
         lambda th, tb: ad.sum_all(ad.add_bias(th, tb)),
         [rng.standard_normal((3, 2)), bias])
+    assert_gradients_match(
+        lambda ta, tb, tc: ad.sum_all(ad.activation(ad.matmul(ta, tb, bias=tc), "tanh")),
+        [a, b, bias])
     assert_gradients_match(lambda t: ad.sum_all(ad.mean_rows(t)), [a])
     assert_gradients_match(
         lambda t: ad.sum_all(ad.gather_rows(t, np.array([0, 2, 2]))), [a])
@@ -108,6 +162,23 @@ def test_elementary_kernel_gradients():
         [a, token])
     assert_gradients_match(
         lambda t1, t2: ad.sum_all(ad.concat_rows([t1, t2])), [a, a.copy()])
+
+
+def test_matmul_bias_matches_add_bias_bit_for_bit():
+    rng = np.random.default_rng(31)
+    arrays = [rng.standard_normal((7, 5)), rng.standard_normal((5, 3)),
+              rng.standard_normal((1, 3))]
+
+    def run(fused):
+        a, w, b = (Tensor(v, requires_grad=True) for v in arrays)
+        with Tape() as tape:
+            out = ad.matmul(a, w, bias=b) if fused else ad.add_bias(ad.matmul(a, w), b)
+            loss = ad.sum_all(ad.activation(out, "tanh"))
+        backward(tape, loss)
+        return [out.values, a.grad, w.grad, b.grad]
+
+    for got, expect in zip(run(True), run(False)):
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_spmm_gradient():
@@ -294,6 +365,9 @@ def test_shape_mismatches_raise():
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
     with pytest.raises(ValueError, match="bias"):
         ad.add_bias(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2))))
+    with pytest.raises(ValueError, match="bias"):
+        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))),
+                  bias=Tensor(np.ones((1, 2))))
 
 
 def test_concat_rows_rejects_empty_and_mismatch():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from gadkit import autodiff as ad
 from gadkit.autodiff import Tape, Tensor, backward, sum_all
 from gadkit.encoders import (EncoderConfig, encode, init_encoder,
                              load_encoder, save_encoder)
-from gadkit.graph import build_graph, normalize_adjacency
+from gadkit.graph import build_graph, normalize_adjacency, raw_adjacency
 
 from conftest import assert_gradients_match, random_graph
 
@@ -116,6 +117,40 @@ def test_encode_gradient_matches_finite_differences(kind):
         return sum_all(encode(enc, g, adj))
 
     assert_gradients_match(loss_from, arrays)
+
+
+def _gin_with_unit_scale(enc, g, x):
+    """GIN forward as first written: a recorded ×1.0 node and separate biases."""
+    adj = raw_adjacency(g)
+    h = x
+    for w1, b1, w2, b2 in enc.layers:
+        z = ad.add(ad.scale(h, 1.0), ad.spmm(adj, h))
+        z = ad.activation(ad.add_bias(ad.matmul(z, w1), b1), enc.config.activation)
+        h = ad.activation(ad.add_bias(ad.matmul(z, w2), b2), enc.config.activation)
+    return h
+
+
+def test_gin_matches_unit_scale_form_bit_for_bit():
+    rng = np.random.default_rng(37)
+    g = small_graph(rng, n=12, d=3)
+    cfg = EncoderConfig(kind="gin", input_dim=3, hidden_dim=5, num_layers=2,
+                        activation="prelu")
+    features = rng.standard_normal((12, 3))
+    probe = rng.standard_normal((12, 5))
+
+    def run(forward):
+        enc = init_encoder(cfg, seed=4)
+        x = Tensor(features, requires_grad=True)
+        with Tape() as tape:
+            h = forward(enc, x)
+            loss = sum_all(ad.activation(ad.add(h, Tensor(probe)), "tanh"))
+        backward(tape, loss)
+        return [h.values, x.grad] + [p.grad for p in enc.params()]
+
+    got = run(lambda enc, x: encode(enc, g, normalize_adjacency(g), features_override=x))
+    expect = run(lambda enc, x: _gin_with_unit_scale(enc, g, x))
+    for a, b in zip(got, expect):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_features_override_identity():

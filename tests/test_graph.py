@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -82,6 +83,36 @@ def test_normalize_matches_dense_formula():
     assert np.abs(dense - expect).max() < 1e-12
     assert np.abs(dense - dense.T).max() == 0.0
     assert (adj.weights > 0).all()
+
+
+def _loop_normalize_adjacency(g):
+    """Row-by-row construction of Â, kept as the oracle for the vectorized one."""
+    n = g.num_nodes
+    deg = g.degrees.astype(np.float64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(g.degrees + 1)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    weights = np.empty(indptr[-1], dtype=np.float64)
+    for u in range(n):
+        merged = np.sort(np.append(g.neighbors(u), u))
+        lo, hi = indptr[u], indptr[u + 1]
+        indices[lo:hi] = merged
+        weights[lo:hi] = 1.0 / np.sqrt((deg[u] + 1.0) * (deg[merged] + 1.0))
+    return indptr, indices, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+def test_normalize_matches_loop_oracle_bit_for_bit(case):
+    n, edges = case  # small edge lists leave isolated nodes; [] leaves only them
+    g = build_graph(edges, np.zeros((n, 1)))
+    adj = normalize_adjacency(g)
+    indptr, indices, weights = _loop_normalize_adjacency(g)
+    assert np.array_equal(adj.indptr, indptr)
+    assert np.array_equal(adj.indices, indices)
+    assert adj.weights.tobytes() == weights.tobytes()
 
 
 def test_bfs_path():
