@@ -10,13 +10,17 @@ each op boundary.
 
 Everything here is deterministic: identical inputs give bit-identical
 outputs, and no kernel consumes randomness.
+
+`train` is the one optimization loop: full-batch Adam over a loss closure,
+with an optional best-validation checkpoint, e.g.
+
+    losses, best = train(params, lambda: bce_with_logits(logits(), y), 200,
+                         0.005, validate=lambda: auprc(scores(), y_val))
 """
 
 import threading
-import weakref
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class NonFiniteError(ValueError):
@@ -318,23 +322,11 @@ def zero_rows(h, rows):
     return _emit(out, (h,), vjp)
 
 
-_CSR_CACHE = weakref.WeakKeyDictionary()
-
-
-def _csr(op):
-    mat = _CSR_CACHE.get(op)
-    if mat is None:
-        mat = sp.csr_matrix((op.weights, op.indices, op.indptr),
-                            shape=(op.num_nodes, op.num_nodes))
-        _CSR_CACHE[op] = mat
-    return mat
-
-
 def spmm(adj, h):
     """adj @ h for a symmetric SparseOperator; the adjoint reuses adj itself."""
     _check_shape(adj.num_nodes == h.shape[0],
                  f"operator over {adj.num_nodes} nodes cannot multiply {h.shape}")
-    mat = _csr(adj)
+    mat = adj.matrix
     return _emit(np.asarray(mat @ h.values), (h,),
                  lambda g: (np.asarray(mat @ g),))
 
@@ -426,3 +418,44 @@ class Adam:
             m_hat = self.m[i] / (1.0 - b1 ** t)
             v_hat = self.v[i] / (1.0 - b2 ** t)
             p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+VAL_CHECK_EVERY = 10
+
+
+def train(params, loss_fn, epochs, lr, validate=None):
+    """Minimize loss_fn() over params with full-batch Adam for `epochs` steps.
+
+    loss_fn takes no arguments and builds a 1x1 loss on the active tape.
+    validate, if given, takes no arguments and returns a score (higher is
+    better); it runs every VAL_CHECK_EVERY epochs and after the last one,
+    and params end at the values of the first check with the best score.
+    Returns (losses, best) with best = (score, epoch), or None without
+    validate. A non-finite value raises RuntimeError naming the epoch.
+    """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    params = list(params)
+    opt = Adam(params, lr=lr)
+    losses = []
+    best = None  # (score, epoch, parameter values)
+    for epoch in range(epochs):
+        opt.zero_grad()
+        try:
+            with Tape() as tape:
+                loss = loss_fn()
+            backward(tape, loss, params=params)
+            opt.step()
+            losses.append(loss.item())
+            if validate is not None and ((epoch + 1) % VAL_CHECK_EVERY == 0
+                                         or epoch == epochs - 1):
+                score = validate()
+                if best is None or score > best[0]:
+                    best = (score, epoch, [p.values.copy() for p in params])
+        except NonFiniteError as exc:
+            raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from exc
+    if best is None:
+        return losses, None
+    for p, values in zip(params, best[2]):
+        p.values = values
+    return losses, best[:2]

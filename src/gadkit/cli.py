@@ -14,10 +14,12 @@ import sys
 
 import numpy as np
 
+from .autodiff import ACTIVATIONS
 from .data import DatasetPaths, SyntheticSpec, generate_synthetic, save_dataset
 from .diagnostics import classify_density, k_hop_reachable_ratio
-from .encoders import EncoderConfig
-from .experiment import (ExperimentConfig, SplitRegime, ablation_shuffle_ratio,
+from .encoders import ENCODER_KINDS, EncoderConfig
+from .experiment import (PARADIGMS, ExperimentConfig, SplitRegime,
+                         ablation_shuffle_ratio, default_activation,
                          grid_search, load_config_graph, run_experiment,
                          sweep_labeled_anomalies)
 from .graph import graph_stats
@@ -62,20 +64,30 @@ def _add_dataset_flags(p):
     p.add_argument("--data-seed", type=int, default=0)
 
 
-def _add_experiment_flags(p):
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--paradigm", choices=("dgi", "graphmae", "end2end"))
-    p.add_argument("--backbone", choices=("gcn", "gin"))
+def _add_model_flags(p):
+    """Encoder and training flags; each defaults to None, meaning not given."""
+    p.add_argument("--backbone", choices=ENCODER_KINDS)
     p.add_argument("--hidden", type=int)
     p.add_argument("--layers", type=int)
-    p.add_argument("--activation",
-                   choices=("relu", "leaky_relu", "tanh", "prelu", "sigmoid"))
+    p.add_argument("--activation", choices=ACTIVATIONS)
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--pretrain-epochs", type=int)
     p.add_argument("--shuffle-ratio", type=float)
     p.add_argument("--mask-ratio", type=float)
     p.add_argument("--gamma", type=float)
+
+
+def _given(args, fields):
+    """{field: value} for each (flag, field) pair whose flag was given."""
+    return {field: getattr(args, flag) for flag, field in fields
+            if getattr(args, flag) is not None}
+
+
+def _add_experiment_flags(p):
+    p.add_argument("--config", help="JSON config file; flags override its fields")
+    p.add_argument("--paradigm", choices=PARADIGMS)
+    _add_model_flags(p)
     p.add_argument("--split-regime", choices=("semi", "full"))
     p.add_argument("--n-anom", type=int)
     p.add_argument("--n-norm", type=int)
@@ -116,26 +128,19 @@ def _config_from_args(args):
     if args.synthetic or args.edges:
         base = dataclasses.replace(base, dataset=_dataset_from_args(args))
 
-    updates = {}
-    for flag, field in (("paradigm", "paradigm"), ("backbone", "encoder_kind"),
-                        ("hidden", "hidden_dim"), ("layers", "num_layers"),
-                        ("activation", "activation"), ("lr", "lr"),
-                        ("epochs", "epochs"),
-                        ("pretrain_epochs", "pretrain_epochs"),
-                        ("shuffle_ratio", "shuffle_ratio"),
-                        ("mask_ratio", "mask_ratio"), ("gamma", "sce_gamma"),
-                        ("k_hops", "k_hops"), ("workers", "workers")):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[field] = value
+    updates = _given(args, (("paradigm", "paradigm"), ("backbone", "encoder_kind"),
+                            ("hidden", "hidden_dim"), ("layers", "num_layers"),
+                            ("activation", "activation"), ("lr", "lr"),
+                            ("epochs", "epochs"),
+                            ("pretrain_epochs", "pretrain_epochs"),
+                            ("shuffle_ratio", "shuffle_ratio"),
+                            ("mask_ratio", "mask_ratio"), ("gamma", "sce_gamma"),
+                            ("k_hops", "k_hops"), ("workers", "workers")))
     split = base.split
     if args.split_regime:
         split = dataclasses.replace(split, regime=args.split_regime)
-    for flag, field in (("n_anom", "n_anom"), ("n_norm", "n_norm"),
-                        ("train_ratio", "train_ratio")):
-        value = getattr(args, flag)
-        if value is not None:
-            split = dataclasses.replace(split, **{field: value})
+    split = dataclasses.replace(split, **_given(args, (
+        ("n_anom", "n_anom"), ("n_norm", "n_norm"), ("train_ratio", "train_ratio"))))
     return dataclasses.replace(base, split=split, trials=args.trials,
                                base_seed=args.seed, out_dir=args.out, **updates)
 
@@ -222,19 +227,18 @@ def cmd_graph_level(args):
     collection = downsample_class(collection, args.downsample_class,
                                   keep_fraction=args.keep_fraction,
                                   seed=args.seed)
-    enc = EncoderConfig(kind=args.backbone or "gcn",
-                        input_dim=collection.feature_dim,
-                        hidden_dim=args.hidden or 32,
-                        num_layers=args.layers or 2,
-                        activation=args.activation
-                        or ("prelu" if args.mode == "dgi" else "relu"))
+    # only the given flags are passed, so the defaults of EncoderConfig and
+    # graphlevel_pipeline apply to the rest
+    enc_fields = {"kind": "gcn", "activation": default_activation(args.mode)}
+    enc_fields.update(_given(args, (("backbone", "kind"), ("hidden", "hidden_dim"),
+                                    ("layers", "num_layers"),
+                                    ("activation", "activation"))))
+    enc = EncoderConfig(input_dim=collection.feature_dim, **enc_fields)
     result = graphlevel_pipeline(
-        collection, args.mode, enc, train_ratio=args.train_ratio or 0.05,
-        epochs=args.epochs or 200, lr=args.lr or 0.005,
-        pretrain_epochs=args.pretrain_epochs or 200, seed=args.seed,
-        shuffle_ratio=args.shuffle_ratio if args.shuffle_ratio is not None else 1.0,
-        mask_ratio=args.mask_ratio if args.mask_ratio is not None else 0.5,
-        gamma=args.gamma if args.gamma is not None else 2.0)
+        collection, args.mode, enc, seed=args.seed,
+        **_given(args, [(flag, flag) for flag in (
+            "train_ratio", "epochs", "lr", "pretrain_epochs", "shuffle_ratio",
+            "mask_ratio", "gamma")]))
     print(json.dumps({"auroc": result.auroc, "auprc": result.auprc,
                       "val_auprc": result.val_auprc}, sort_keys=True, indent=1))
     return 0
@@ -281,22 +285,11 @@ def build_parser():
 
     p = sub.add_parser("graph-level", help="graph-level detection pipeline")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=("dgi", "graphmae", "end2end"),
-                   default="dgi")
+    p.add_argument("--mode", choices=PARADIGMS, default="dgi")
     p.add_argument("--downsample-class", type=int, required=True)
     p.add_argument("--keep-fraction", type=float, default=0.10)
     p.add_argument("--train-ratio", type=float)
-    p.add_argument("--backbone", choices=("gcn", "gin"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--activation",
-                   choices=("relu", "leaky_relu", "tanh", "prelu", "sigmoid"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--pretrain-epochs", type=int)
-    p.add_argument("--shuffle-ratio", type=float)
-    p.add_argument("--mask-ratio", type=float)
-    p.add_argument("--gamma", type=float)
+    _add_model_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_graph_level)
 

@@ -1,24 +1,22 @@
 """Anomaly classifier and the two training paradigms.
 
 finetune_run trains a 2-layer MLP on embeddings from a frozen encoder
-(computed once, never re-differentiated); end2end_run trains encoder and
-classifier jointly. Both minimize class-weighted binary cross-entropy over
-the labeled training nodes only, with anomaly weight #normals/#anomalies,
-and both retain the parameters with the best validation AUPRC, checked
-every 10 epochs.
+(computed once, never re-differentiated) through fit_classifier;
+end2end_run trains encoder and classifier jointly through joint_fit. Both
+minimize class-weighted binary cross-entropy over the labeled training rows
+only, with anomaly weight #normals/#anomalies, and both keep the parameters
+with the best validation AUPRC (see autodiff.train for the checkpointing).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Adam, Tape, Tensor, activation, backward,
-                       bce_with_logits, gather_rows, matmul, stable_sigmoid)
+from .autodiff import (Tensor, activation, bce_with_logits, gather_rows,
+                       matmul, stable_sigmoid, train)
 from .encoders import encode, glorot, init_encoder
 from .graph import LABEL_UNKNOWN, cached_normalized_adjacency
 from .metrics import auprc
-
-VAL_CHECK_EVERY = 10
 
 
 class ClassifierState:
@@ -37,13 +35,6 @@ class ClassifierState:
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def param_values(self):
-        return [p.values.copy() for p in self.params()]
-
-    def load_param_values(self, values):
-        for p, v in zip(self.params(), values):
-            p.values = v.copy()
 
     def set_standardization(self, matrix):
         self.input_mean = matrix.mean(axis=0)
@@ -101,11 +92,40 @@ def class_weights(y):
 
 @dataclass
 class FitResult:
+    """A trained classifier at its best validation check.
+
+    encoder is the jointly trained encoder, or None when the classifier was
+    fit on fixed embeddings.
+    """
+
     classifier: ClassifierState
+    val_scores: ScoreVector
     losses: list
     best_epoch: int
     val_auprc: float
-    val_scores: np.ndarray
+    encoder: object = None
+
+
+def _fit(clf, params, train_rows, val_rows, train_y, val_idx, val_y, epochs, lr,
+         encoder=None):
+    """Train params under the weighted BCE of clf on train_rows().
+
+    train_rows and val_rows take no arguments and return the classifier's
+    input rows; the validation AUPRC on val_rows() picks the checkpoint.
+    """
+    y_col = np.asarray(train_y, dtype=np.float64).reshape(-1, 1)
+    weights = class_weights(y_col)
+
+    def val_scores():
+        return _probabilities(classifier_logits(val_rows(), clf).values[:, 0])
+
+    losses, (val_auprc, best_epoch) = train(
+        params, lambda: bce_with_logits(classifier_logits(train_rows(), clf),
+                                        y_col, weights),
+        epochs, lr, validate=lambda: auprc(val_scores(), val_y))
+    return FitResult(classifier=clf, val_scores=ScoreVector(val_idx, val_scores()),
+                     losses=losses, best_epoch=best_epoch, val_auprc=val_auprc,
+                     encoder=encoder)
 
 
 def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
@@ -117,12 +137,7 @@ def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
     scoring time). Worth switching off for very small matrices, where
     near-constant columns would be amplified into noise.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.float64).reshape(-1, 1)
-    weights = class_weights(train_y).reshape(-1, 1)
-
     clf = init_classifier(embeddings.shape[1], seed)
     clf.activation = activation_kind
     if standardize:
@@ -131,34 +146,25 @@ def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
     # classifier_logits array path, which applies the same transform once
     h_train = Tensor(clf.standardize(embeddings[train_idx]))
     h_val = embeddings[val_idx]
-    opt = Adam(clf.params(), lr=lr)
-    losses = []
-    best = None  # (auprc, epoch, values)
-    for epoch in range(epochs):
-        opt.zero_grad()
-        with Tape() as tape:
-            loss = bce_with_logits(classifier_logits(h_train, clf), train_y, weights)
-        backward(tape, loss, params=clf.params())
-        opt.step()
-        losses.append(loss.item())
-        if (epoch + 1) % VAL_CHECK_EVERY == 0 or epoch == epochs - 1:
-            scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
-            score = auprc(scores, val_y)
-            if best is None or score > best[0]:
-                best = (score, epoch, clf.param_values())
-    clf.load_param_values(best[2])
-    val_scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
-    return FitResult(classifier=clf, losses=losses, best_epoch=best[1],
-                     val_auprc=best[0], val_scores=val_scores)
+    return _fit(clf, clf.params(), lambda: h_train, lambda: h_val,
+                train_y, val_idx, val_y, epochs, lr)
 
 
-@dataclass
-class FinetuneResult:
-    classifier: ClassifierState
-    val_scores: ScoreVector
-    losses: list
-    best_epoch: int
-    val_auprc: float
+def joint_fit(encoder_config, rows, train_idx, train_y, val_idx, val_y,
+              epochs, lr, seed):
+    """Train a fresh encoder and classifier together on rows(encoder, idx).
+
+    rows returns the differentiable representations of the indexed items
+    (nodes or graphs) under the current encoder weights.
+    """
+    rng = np.random.default_rng(seed)
+    enc_seed = int(rng.integers(2 ** 31))
+    clf_seed = int(rng.integers(2 ** 31))
+    encoder = init_encoder(encoder_config, enc_seed)
+    clf = init_classifier(encoder_config.hidden_dim, clf_seed)
+    return _fit(clf, encoder.params() + clf.params(),
+                lambda: rows(encoder, train_idx), lambda: rows(encoder, val_idx),
+                train_y, val_idx, val_y, epochs, lr, encoder=encoder)
 
 
 def _split_xy(graph, split):
@@ -181,69 +187,27 @@ def finetune_run(encoder, graph, split, epochs=200, lr=0.005, seed=0, adjnorm=No
     if split.train_anomalies.size == 0:
         raise ValueError("no labeled anomalies in the training split")
     embeddings = encode(encoder, graph, adjnorm).values
-    train_idx, train_y, val_idx, val_y = _split_xy(graph, split)
-    fit = fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
-                         epochs, lr, seed)
-    return FinetuneResult(classifier=fit.classifier,
-                          val_scores=ScoreVector(val_idx, fit.val_scores),
-                          losses=fit.losses, best_epoch=fit.best_epoch,
-                          val_auprc=fit.val_auprc)
-
-
-@dataclass
-class End2EndResult:
-    encoder: object
-    classifier: ClassifierState
-    val_scores: ScoreVector
-    losses: list
-    best_epoch: int
-    val_auprc: float
+    return fit_classifier(embeddings, *_split_xy(graph, split), epochs, lr, seed)
 
 
 def end2end_run(encoder_config, graph, split, epochs=200, lr=0.005, seed=0,
                 adjnorm=None):
     """Jointly train encoder and classifier on the labeled training nodes."""
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if adjnorm is None:
         adjnorm = cached_normalized_adjacency(graph)
     if split.train_anomalies.size == 0:
         raise ValueError("no labeled anomalies in the training split")
-    rng = np.random.default_rng(seed)
-    enc_seed = int(rng.integers(2 ** 31))
-    clf_seed = int(rng.integers(2 ** 31))
-    encoder = init_encoder(encoder_config, enc_seed)
-    clf = init_classifier(encoder_config.hidden_dim, clf_seed)
+    # hold the last full representation until the next forward pass has
+    # replaced it: released earlier, the allocator trims the emptied heap and
+    # every epoch faults its whole working set in again (10x the page faults
+    # and about 1.5x the time per epoch at N=10000 with glibc malloc)
+    last = {}
 
-    train_idx, train_y, val_idx, val_y = _split_xy(graph, split)
-    y_col = train_y.reshape(-1, 1)
-    weights = class_weights(train_y).reshape(-1, 1)
-    params = encoder.params() + clf.params()
-    opt = Adam(params, lr=lr)
-    losses = []
-    best = None
-    for epoch in range(epochs):
-        opt.zero_grad()
-        with Tape() as tape:
-            h = encode(encoder, graph, adjnorm)
-            logits = classifier_logits(gather_rows(h, train_idx), clf)
-            loss = bce_with_logits(logits, y_col, weights)
-        backward(tape, loss, params=params)
-        opt.step()
-        losses.append(loss.item())
-        if (epoch + 1) % VAL_CHECK_EVERY == 0 or epoch == epochs - 1:
-            h_val = encode(encoder, graph, adjnorm).values[val_idx]
-            scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
-            score = auprc(scores, val_y)
-            if best is None or score > best[0]:
-                best = (score, epoch, encoder.param_values(), clf.param_values())
-    encoder.load_param_values(best[2])
-    clf.load_param_values(best[3])
-    h_val = encode(encoder, graph, adjnorm).values[val_idx]
-    val_scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
-    return End2EndResult(encoder=encoder, classifier=clf,
-                         val_scores=ScoreVector(val_idx, val_scores),
-                         losses=losses, best_epoch=best[1], val_auprc=best[0])
+    def rows(encoder, idx):
+        last["h"] = encode(encoder, graph, adjnorm)
+        return gather_rows(last["h"], idx)
+
+    return joint_fit(encoder_config, rows, *_split_xy(graph, split), epochs, lr, seed)
 
 
 def score_nodes(encoder, classifier, graph, node_subset, adjnorm=None):

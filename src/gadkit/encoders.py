@@ -54,18 +54,6 @@ class EncoderState:
             out.extend(layer)
         return out
 
-    def param_values(self):
-        return [p.values.copy() for p in self.params()]
-
-    def load_param_values(self, values):
-        params = self.params()
-        if len(values) != len(params):
-            raise ValueError("parameter count mismatch")
-        for p, v in zip(params, values):
-            if v.shape != p.values.shape:
-                raise ValueError("parameter shape mismatch")
-            p.values = v.copy()
-
     def freeze(self):
         self.frozen = True
         for p in self.params():

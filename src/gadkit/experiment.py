@@ -44,6 +44,11 @@ DEFAULT_SEARCH_SPACE = {
 }
 
 
+def default_activation(paradigm):
+    """The encoder activation when none is set: PReLU for DGI, else ReLU."""
+    return "prelu" if paradigm == "dgi" else "relu"
+
+
 @dataclass(frozen=True)
 class SplitRegime:
     regime: str = "semi"  # "semi" | "full"
@@ -86,7 +91,7 @@ class ExperimentConfig:
     def resolved_activation(self):
         if self.activation is not None:
             return self.activation
-        return "prelu" if self.paradigm == "dgi" else "relu"
+        return default_activation(self.paradigm)
 
     def canonical(self):
         """Plain dict capturing everything that affects results.

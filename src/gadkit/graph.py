@@ -7,9 +7,11 @@ LABEL_UNKNOWN = -1.
 """
 
 from dataclasses import dataclass
+import functools
 import weakref
 
 import numpy as np
+import scipy.sparse as sp
 
 LABEL_UNKNOWN = -1
 
@@ -55,6 +57,12 @@ class SparseOperator:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
+
+    @functools.cached_property
+    def matrix(self):
+        """The operator as a scipy CSR matrix, built on first use."""
+        return sp.csr_matrix((self.weights, self.indices, self.indptr),
+                             shape=(self.num_nodes, self.num_nodes))
 
 
 class NormalizedAdjacency(SparseOperator):

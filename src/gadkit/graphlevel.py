@@ -2,8 +2,9 @@
 
 A collection is labeled by the downsampling protocol: one class is cut to a
 small fraction and marked anomalous, every other graph is normal. Detection
-reuses the node-level machinery with a mean-pooled readout per graph; the
-pretexts run per graph with labels untouched.
+reuses the node-level machinery with a mean-pooled readout per graph: the
+pretexts run per graph with labels untouched, and both paradigms train and
+checkpoint through autodiff.train.
 """
 
 from dataclasses import dataclass
@@ -13,15 +14,14 @@ import os
 
 import numpy as np
 
-from .autodiff import (Adam, Tape, add, backward, bce_with_logits,
-                       concat_rows, mean_rows, scale)
+from .autodiff import add, concat_rows, mean_rows, scale, train
 from .data import load_dataset, save_dataset
-from .detector import (VAL_CHECK_EVERY, _probabilities, class_weights,
-                       classifier_logits, fit_classifier, init_classifier)
-from .encoders import encode, init_encoder
+from .detector import (_probabilities, classifier_logits, fit_classifier,
+                       joint_fit)
+from .encoders import encode
 from .graph import cached_normalized_adjacency
 from .metrics import auprc, auroc
-from .pretrain import DgiConfig, MaeConfig, dgi_loss, graphmae_loss
+from .pretrain import OBJECTIVES, init_pretext
 
 
 @dataclass(frozen=True)
@@ -101,36 +101,18 @@ def stratified_graph_split(labels, train_ratio, seed):
             np.sort(np.asarray(test)))
 
 
-def _readout_matrix(encoder, graphs):
-    return np.vstack([graph_readout(encoder, g).values for g in graphs])
-
-
 def _collection_pretrain(collection, encoder_config, objective, epochs, lr, seed,
                          shuffle_ratio, mask_ratio, gamma):
-    rng = np.random.default_rng(seed)
-    enc_seed = int(rng.integers(2 ** 31))
-    obj_seed = int(rng.integers(2 ** 31))
-    encoder = init_encoder(encoder_config, enc_seed)
-    if objective == "dgi":
-        obj = DgiConfig.create(encoder_config.hidden_dim, shuffle_ratio, obj_seed)
-        loss_fn = dgi_loss
-    else:
-        obj = MaeConfig.create(encoder_config.input_dim, encoder_config.hidden_dim,
-                               mask_ratio, gamma, obj_seed)
-        loss_fn = graphmae_loss
+    """Pretext loss averaged over every graph of the collection per epoch."""
+    encoder, obj, loss_fn, rng = init_pretext(encoder_config, objective, seed,
+                                              shuffle_ratio, mask_ratio, gamma)
 
-    params = encoder.params() + obj.params()
-    opt = Adam(params, lr=lr)
-    losses = []
-    for _ in range(epochs):
-        opt.zero_grad()
-        with Tape() as tape:
-            per_graph = [loss_fn(encoder, g, cached_normalized_adjacency(g), obj, rng)
-                         for g in collection.graphs]
-            loss = scale(reduce(add, per_graph), 1.0 / len(per_graph))
-        backward(tape, loss, params=params)
-        opt.step()
-        losses.append(loss.item())
+    def mean_loss():
+        per_graph = [loss_fn(encoder, g, cached_normalized_adjacency(g), obj, rng)
+                     for g in collection.graphs]
+        return scale(reduce(add, per_graph), 1.0 / len(per_graph))
+
+    losses, _ = train(encoder.params() + obj.params(), mean_loss, epochs, lr)
     encoder.freeze()
     return encoder, losses
 
@@ -156,67 +138,35 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
     labels = collection.labels
     train_idx, val_idx, test_idx = stratified_graph_split(labels, train_ratio, seed)
 
-    if mode in ("dgi", "graphmae"):
+    if mode in OBJECTIVES:
         encoder, losses = _collection_pretrain(
             collection, encoder_config, mode, pretrain_epochs, lr, seed,
             shuffle_ratio, mask_ratio, gamma)
-        readouts = _readout_matrix(encoder, collection.graphs)
+        readouts = np.vstack([graph_readout(encoder, g).values
+                              for g in collection.graphs])
         fit = fit_classifier(readouts, train_idx, labels[train_idx],
                              val_idx, labels[val_idx], epochs, lr, seed,
                              standardize=False)
-        clf = fit.classifier
-        val_auprc = fit.val_auprc
-        test_scores = _probabilities(
-            classifier_logits(readouts[test_idx], clf).values[:, 0])
+        test_rows = readouts[test_idx]
     elif mode == "end2end":
-        encoder, clf, losses, val_auprc = _end2end_graphs(
-            collection, encoder_config, train_idx, val_idx, epochs, lr, seed)
-        readouts = _readout_matrix(encoder, collection.graphs)
-        test_scores = _probabilities(
-            classifier_logits(readouts[test_idx], clf).values[:, 0])
+        def rows(encoder, idx):
+            return concat_rows([graph_readout(encoder, collection.graphs[i])
+                                for i in idx])
+
+        fit = joint_fit(encoder_config, rows, train_idx, labels[train_idx],
+                        val_idx, labels[val_idx], epochs, lr, seed)
+        losses = fit.losses
+        test_rows = rows(fit.encoder, test_idx)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    test_scores = _probabilities(
+        classifier_logits(test_rows, fit.classifier).values[:, 0])
     y_test = labels[test_idx]
     return GraphLevelResult(auroc=auroc(test_scores, y_test),
                             auprc=auprc(test_scores, y_test),
-                            val_auprc=val_auprc, losses=losses,
+                            val_auprc=fit.val_auprc, losses=losses,
                             test_scores=test_scores, test_index=test_idx)
-
-
-def _end2end_graphs(collection, encoder_config, train_idx, val_idx, epochs, lr, seed):
-    rng = np.random.default_rng(seed)
-    encoder = init_encoder(encoder_config, int(rng.integers(2 ** 31)))
-    clf = init_classifier(encoder_config.hidden_dim, int(rng.integers(2 ** 31)))
-    labels = collection.labels
-    y_col = labels[train_idx].astype(np.float64).reshape(-1, 1)
-    weights = class_weights(labels[train_idx]).reshape(-1, 1)
-    train_graphs = [collection.graphs[i] for i in train_idx]
-    val_graphs = [collection.graphs[i] for i in val_idx]
-    y_val = labels[val_idx]
-
-    params = encoder.params() + clf.params()
-    opt = Adam(params, lr=lr)
-    losses = []
-    best = None
-    for epoch in range(epochs):
-        opt.zero_grad()
-        with Tape() as tape:
-            logits = classifier_logits(
-                concat_rows([graph_readout(encoder, g) for g in train_graphs]), clf)
-            loss = bce_with_logits(logits, y_col, weights)
-        backward(tape, loss, params=params)
-        opt.step()
-        losses.append(loss.item())
-        if (epoch + 1) % VAL_CHECK_EVERY == 0 or epoch == epochs - 1:
-            scores = _probabilities(classifier_logits(
-                _readout_matrix(encoder, val_graphs), clf).values[:, 0])
-            score = auprc(scores, y_val)
-            if best is None or score > best[0]:
-                best = (score, epoch, encoder.param_values(), clf.param_values())
-    encoder.load_param_values(best[2])
-    clf.load_param_values(best[3])
-    return encoder, clf, losses, best[0]
 
 
 def save_collection(collection, out_dir, manifest_name="collection.json"):

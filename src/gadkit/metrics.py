@@ -24,19 +24,21 @@ def _check_pair(scores, labels):
     return scores, labels.astype(np.int64)
 
 
+def _tie_groups(sorted_values):
+    """Start index and length of each run of equal values in a sorted array."""
+    starts = np.flatnonzero(np.concatenate(
+        ([True], sorted_values[1:] != sorted_values[:-1])))
+    return starts, np.diff(np.append(starts, sorted_values.size))
+
+
 def tied_ranks(x):
     """1-based ranks of x ascending, ties sharing their average rank."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="mergesort")
+    starts, counts = _tie_groups(x[order])
     ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a group spanning sorted positions i..j gets 0.5 * (i + j) + 1
+    ranks[order] = np.repeat(0.5 * (2 * starts + counts - 1) + 1.0, counts)
     return ranks
 
 
@@ -60,20 +62,13 @@ def auprc(scores, labels):
         raise ValueError("AUPRC needs at least one positive")
     order = np.argsort(-scores, kind="mergesort")
     s, y = scores[order], labels[order]
-    ap = 0.0
-    tp = fp = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s[j + 1] == s[i]:
-            j += 1
-        grp_tp = int(y[i:j + 1].sum())
-        tp += grp_tp
-        fp += (j - i + 1) - grp_tp
-        if grp_tp:
-            ap += (grp_tp / p) * (tp / (tp + fp))
-        i = j + 1
-    return float(ap)
+    starts, counts = _tie_groups(s)
+    grp_tp = np.add.reduceat(y, starts)
+    # precision at each group's threshold: cumulative tp over rows seen so far
+    terms = (grp_tp / p) * (np.cumsum(grp_tp) / np.cumsum(counts))
+    # cumsum adds in sequence, as the loop's running total did; np.sum would
+    # add pairwise and round differently
+    return float(np.cumsum(terms[grp_tp > 0])[-1])
 
 
 def normalized_ranks(scores):

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Adam, NonFiniteError, Tape, Tensor, activation, add,
-                       add_bias, backward, bce_with_logits, gather_rows,
-                       matmul, mean_rows, row_substitute, scale,
-                       scaled_cosine_error, spmm, transpose, zero_rows)
+from .autodiff import (Tensor, activation, add, add_bias, bce_with_logits,
+                       gather_rows, matmul, mean_rows, row_substitute, scale,
+                       scaled_cosine_error, spmm, train, transpose, zero_rows)
 from .encoders import encode, glorot, init_encoder
 from .graph import cached_normalized_adjacency
 
@@ -142,6 +141,27 @@ class PretrainResult:
     objective_state: object
 
 
+def init_pretext(encoder_config, objective, seed, shuffle_ratio, mask_ratio, gamma):
+    """Fresh encoder and objective state for a label-free pretext.
+
+    Returns (encoder, objective state, loss function, rng). The encoder and
+    objective seeds are drawn from default_rng(seed) in that order, and the
+    loss keeps drawing its negatives or masks from the same rng.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    rng = np.random.default_rng(seed)
+    enc_seed = int(rng.integers(2 ** 31))
+    obj_seed = int(rng.integers(2 ** 31))
+    encoder = init_encoder(encoder_config, enc_seed)
+    if objective == "dgi":
+        obj = DgiConfig.create(encoder_config.hidden_dim, shuffle_ratio, obj_seed)
+        return encoder, obj, dgi_loss, rng
+    obj = MaeConfig.create(encoder_config.input_dim, encoder_config.hidden_dim,
+                           mask_ratio, gamma, obj_seed)
+    return encoder, obj, graphmae_loss, rng
+
+
 def pretrain_run(graph, encoder_config, objective, epochs=200, lr=0.005, seed=0,
                  shuffle_ratio=1.0, mask_ratio=0.5, gamma=2.0, adjnorm=None):
     """Optimize the encoder with a label-free objective; returns it frozen.
@@ -149,38 +169,12 @@ def pretrain_run(graph, encoder_config, objective, epochs=200, lr=0.005, seed=0,
     Negatives/masks are redrawn every epoch. Deterministic per seed; a
     non-finite loss aborts with the offending epoch in the message.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    encoder, obj, loss_fn, rng = init_pretext(encoder_config, objective, seed,
+                                              shuffle_ratio, mask_ratio, gamma)
     if adjnorm is None:
         adjnorm = cached_normalized_adjacency(graph)
-
-    rng = np.random.default_rng(seed)
-    enc_seed = int(rng.integers(2 ** 31))
-    obj_seed = int(rng.integers(2 ** 31))
-    encoder = init_encoder(encoder_config, enc_seed)
-    if objective == "dgi":
-        obj = DgiConfig.create(encoder_config.hidden_dim, shuffle_ratio, obj_seed)
-        loss_fn = dgi_loss
-    else:
-        obj = MaeConfig.create(encoder_config.input_dim, encoder_config.hidden_dim,
-                               mask_ratio, gamma, obj_seed)
-        loss_fn = graphmae_loss
-
-    params = encoder.params() + obj.params()
-    opt = Adam(params, lr=lr)
-    losses = []
-    for epoch in range(epochs):
-        opt.zero_grad()
-        try:
-            with Tape() as tape:
-                loss = loss_fn(encoder, graph, adjnorm, obj, rng)
-            backward(tape, loss, params=params)
-        except NonFiniteError as exc:
-            raise RuntimeError(f"pre-training diverged at epoch {epoch}: {exc}") from exc
-        opt.step()
-        losses.append(loss.item())
+    losses, _ = train(encoder.params() + obj.params(),
+                      lambda: loss_fn(encoder, graph, adjnorm, obj, rng), epochs, lr)
     encoder.freeze()
     return PretrainResult(encoder=encoder, losses=losses, objective_state=obj)
 

@@ -387,3 +387,88 @@ def test_spmm_rejects_wrong_node_count():
 def test_gather_rows_range_check():
     with pytest.raises(ValueError, match="out of range"):
         ad.gather_rows(Tensor(np.ones((2, 2))), np.array([5]))
+
+
+def _quadratic(target):
+    """A single (1, 3) parameter and the loss sum((p - target)^2)."""
+    p = Tensor(np.zeros((1, 3)), requires_grad=True)
+    t = Tensor(target)
+
+    def loss_fn():
+        d = ad.add(p, ad.scale(t, -1.0))
+        return ad.sum_all(ad.activation(d, "tanh"))
+
+    return p, loss_fn
+
+
+@pytest.mark.parametrize("epochs, expect", [(25, [9, 19, 24]), (20, [9, 19]),
+                                            (1, [0]), (9, [8])])
+def test_train_validates_every_ten_epochs_and_at_the_last(epochs, expect):
+    p, loss_fn = _quadratic(np.ones((1, 3)))
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return loss_fn()
+
+    checked = []
+
+    def validate():
+        checked.append(len(calls) - 1)
+        return 0.0
+
+    losses, best = ad.train([p], counted, epochs, 0.1, validate=validate)
+    assert checked == expect
+    assert len(losses) == epochs
+    assert best == (0.0, expect[0])
+
+
+def test_train_keeps_first_best_and_restores_its_snapshot():
+    p, loss_fn = _quadratic(np.ones((1, 3)))
+    scores = iter([0.2, 0.7, 0.7, 0.1])
+    snapshots = []
+
+    def validate():
+        snapshots.append(p.values.copy())
+        return next(scores)
+
+    losses, best = ad.train([p], loss_fn, 40, 0.1, validate=validate)
+    assert best == (0.7, 19)  # the tie at epoch 29 does not replace it
+    assert p.values.tobytes() == snapshots[1].tobytes()
+    assert not np.array_equal(snapshots[1], snapshots[3])
+
+
+def test_train_without_validate_ends_at_the_last_step():
+    p, loss_fn = _quadratic(np.ones((1, 3)))
+    losses, best = ad.train([p], loss_fn, 12, 0.1)
+    assert best is None
+    # replaying the same Adam steps by hand lands on the same bits
+    q, replay_loss = _quadratic(np.ones((1, 3)))
+    opt = Adam([q], lr=0.1)
+    for _ in range(12):
+        opt.zero_grad()
+        with Tape() as tape:
+            loss = replay_loss()
+        backward(tape, loss, params=[q])
+        opt.step()
+    assert p.values.tobytes() == q.values.tobytes()
+    assert losses[-1] == loss.item()
+
+
+def test_train_rejects_zero_epochs():
+    p, loss_fn = _quadratic(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="epochs"):
+        ad.train([p], loss_fn, 0, 0.1)
+
+
+def test_train_names_the_diverging_epoch():
+    p, loss_fn = _quadratic(np.ones((1, 3)))
+    calls = []
+
+    def blows_up_at_epoch_3():
+        calls.append(None)
+        return ad.scale(loss_fn(), np.inf if len(calls) == 4 else 1.0)
+
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(RuntimeError, match="diverged at epoch 3"):
+        ad.train([p], blows_up_at_epoch_3, 10, 0.1)

@@ -149,3 +149,26 @@ def test_ablate_shuffle_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "shuffle_ratio=0.5" in out and "shuffle_ratio=1.0" in out
     assert (tmp_path / "ablation_shuffle.csv").exists()
+
+
+def _tiny_manifest(tmp_path):
+    from gadkit.graphlevel import GraphCollection, save_collection
+    from gadkit.graph import build_graph
+    rng = np.random.default_rng(1)
+    graphs = [build_graph([(i, i + 1) for i in range(3)], rng.standard_normal((4, 2)))
+              for _ in range(16)]
+    coll = GraphCollection(graphs=tuple(graphs), class_ids=np.array([0, 1] * 8))
+    return save_collection(coll, str(tmp_path / "coll"))
+
+
+@pytest.mark.parametrize("flag, match", [("--hidden", "dimensions"),
+                                         ("--epochs", "epochs"),
+                                         ("--train-ratio", "too small")])
+def test_graph_level_passes_an_explicit_zero_through(tmp_path, flag, match):
+    # a given 0 reaches EncoderConfig / graphlevel_pipeline and is rejected
+    # there, instead of being replaced by the default
+    with pytest.raises(ValueError, match=match):
+        main(["graph-level", "--manifest", _tiny_manifest(tmp_path),
+              "--mode", "end2end", "--downsample-class", "0",
+              "--keep-fraction", "0.5", "--train-ratio", "0.25",
+              "--epochs", "3", flag, "0"])

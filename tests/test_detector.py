@@ -209,3 +209,74 @@ def test_val_selection_tracks_best_auprc():
     assert 0.0 <= result.val_auprc <= 1.0
     assert result.best_epoch < 40
     assert (result.best_epoch + 1) % 10 == 0 or result.best_epoch == 39
+
+
+def _end2end_loop_before_train(encoder_config, graph, split, epochs, lr, seed):
+    """end2end_run as it was written before it moved onto autodiff.train."""
+    from gadkit.autodiff import (Adam, Tape, backward, bce_with_logits,
+                                 gather_rows)
+    from gadkit.detector import _probabilities, class_weights, classifier_logits
+    from gadkit.encoders import encode
+    from gadkit.graph import cached_normalized_adjacency
+    from gadkit.metrics import auprc
+
+    adjnorm = cached_normalized_adjacency(graph)
+    rng = np.random.default_rng(seed)
+    enc_seed = int(rng.integers(2 ** 31))
+    clf_seed = int(rng.integers(2 ** 31))
+    encoder = init_encoder(encoder_config, enc_seed)
+    clf = init_classifier(encoder_config.hidden_dim, clf_seed)
+    train_idx, val_idx = split.train_nodes, split.val_nodes
+    train_y = (graph.labels[train_idx] == 1).astype(np.float64)
+    val_y = (graph.labels[val_idx] == 1).astype(np.float64)
+    y_col = train_y.reshape(-1, 1)
+    weights = class_weights(train_y).reshape(-1, 1)
+    params = encoder.params() + clf.params()
+    opt = Adam(params, lr=lr)
+    losses = []
+    best = None
+    for epoch in range(epochs):
+        opt.zero_grad()
+        with Tape() as tape:
+            h = encode(encoder, graph, adjnorm)
+            logits = classifier_logits(gather_rows(h, train_idx), clf)
+            loss = bce_with_logits(logits, y_col, weights)
+        backward(tape, loss, params=params)
+        opt.step()
+        losses.append(loss.item())
+        if (epoch + 1) % 10 == 0 or epoch == epochs - 1:
+            h_val = encode(encoder, graph, adjnorm).values[val_idx]
+            scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
+            score = auprc(scores, val_y)
+            if best is None or score > best[0]:
+                best = (score, epoch, [p.values.copy() for p in params])
+    for p, values in zip(params, best[2]):
+        p.values = values
+    h_val = encode(encoder, graph, adjnorm).values[val_idx]
+    val_scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
+    return encoder, clf, losses, best[1], best[0], val_scores
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gin"])
+def test_end2end_matches_its_former_loop_bit_for_bit(kind):
+    g = bench_graph(seed=10)
+    split = make_semi_split(g, n_anom=8, n_norm=30, seed=2)
+    cfg = EncoderConfig(kind=kind, input_dim=6, hidden_dim=8, activation="prelu")
+    got = end2end_run(cfg, g, split, epochs=33, lr=0.01, seed=4)
+    enc, clf, losses, best_epoch, val_auprc, val_scores = \
+        _end2end_loop_before_train(cfg, g, split, 33, 0.01, 4)
+    assert got.losses == losses
+    assert got.best_epoch == best_epoch and got.val_auprc == val_auprc
+    assert np.array_equal(got.val_scores.nodes, split.val_nodes)
+    assert got.val_scores.scores.tobytes() == val_scores.tobytes()
+    for a, b in zip(got.encoder.params() + got.classifier.params(),
+                    enc.params() + clf.params()):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_end2end_divergence_names_the_epoch():
+    g = bench_graph(seed=11)
+    split = make_semi_split(g, seed=0)
+    cfg = EncoderConfig(kind="gcn", input_dim=6, hidden_dim=8)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
+        end2end_run(cfg, g, split, epochs=20, lr=1e300, seed=0)

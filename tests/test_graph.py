@@ -214,3 +214,16 @@ def test_graph_is_immutable():
         g.indices[0] = 0
     with pytest.raises(ValueError):
         g.features[0, 0] = 1.0
+
+
+def test_operator_matrix_is_built_once_and_holds_the_operator():
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, 30)
+    adj = normalize_adjacency(g)
+    mat = adj.matrix
+    assert adj.matrix is mat
+    dense = np.zeros((g.num_nodes, g.num_nodes))
+    for u in range(g.num_nodes):
+        cols = adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
+        dense[u, cols] = adj.weights[adj.indptr[u]:adj.indptr[u + 1]]
+    assert np.array_equal(mat.toarray(), dense)

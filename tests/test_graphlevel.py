@@ -170,3 +170,91 @@ def test_manifest_round_trip(tmp_path):
     for ga, gb in zip(coll.graphs, loaded.graphs):
         assert np.array_equal(ga.indices, gb.indices)
         assert np.array_equal(ga.features, gb.features)
+
+
+@pytest.mark.parametrize("kwargs", [{"mode": "end2end", "epochs": 0},
+                                    {"mode": "dgi", "pretrain_epochs": 0},
+                                    {"mode": "graphmae", "pretrain_epochs": 0}])
+def test_pipeline_rejects_zero_epochs(kwargs):
+    coll = downsample_class(toy_collection(20, 20), 1, keep_fraction=0.5, seed=0)
+    enc = EncoderConfig(kind="gcn", input_dim=2, hidden_dim=4)
+    with pytest.raises(ValueError, match="epochs"):
+        graphlevel_pipeline(coll, encoder_config=enc, train_ratio=0.2, **kwargs)
+
+
+def _end2end_graphs_before_train(collection, encoder_config, train_idx, val_idx,
+                                 epochs, lr, seed):
+    """Graph-level end-to-end training as written before autodiff.train."""
+    from gadkit.autodiff import (Adam, Tape, backward, bce_with_logits,
+                                 concat_rows)
+    from gadkit.detector import (_probabilities, class_weights,
+                                 classifier_logits, init_classifier)
+    from gadkit.metrics import auprc
+
+    def readout_matrix(encoder, graphs):
+        return np.vstack([graph_readout(encoder, g).values for g in graphs])
+
+    rng = np.random.default_rng(seed)
+    encoder = init_encoder(encoder_config, int(rng.integers(2 ** 31)))
+    clf = init_classifier(encoder_config.hidden_dim, int(rng.integers(2 ** 31)))
+    labels = collection.labels
+    y_col = labels[train_idx].astype(np.float64).reshape(-1, 1)
+    weights = class_weights(labels[train_idx]).reshape(-1, 1)
+    train_graphs = [collection.graphs[i] for i in train_idx]
+    val_graphs = [collection.graphs[i] for i in val_idx]
+    y_val = labels[val_idx]
+
+    params = encoder.params() + clf.params()
+    opt = Adam(params, lr=lr)
+    losses = []
+    best = None
+    for epoch in range(epochs):
+        opt.zero_grad()
+        with Tape() as tape:
+            logits = classifier_logits(
+                concat_rows([graph_readout(encoder, g) for g in train_graphs]), clf)
+            loss = bce_with_logits(logits, y_col, weights)
+        backward(tape, loss, params=params)
+        opt.step()
+        losses.append(loss.item())
+        if (epoch + 1) % 10 == 0 or epoch == epochs - 1:
+            scores = _probabilities(classifier_logits(
+                readout_matrix(encoder, val_graphs), clf).values[:, 0])
+            score = auprc(scores, y_val)
+            if best is None or score > best[0]:
+                best = (score, epoch, [p.values.copy() for p in params])
+    for p, values in zip(params, best[2]):
+        p.values = values
+    return encoder, clf, losses, best[1], best[0]
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gin"])
+def test_end2end_matches_its_former_loop_bit_for_bit(kind):
+    from gadkit.autodiff import concat_rows
+    from gadkit.detector import _probabilities, classifier_logits, joint_fit
+
+    coll = downsample_class(toy_collection(30, 30, seed=5), 1,
+                            keep_fraction=0.5, seed=0)
+    cfg = EncoderConfig(kind=kind, input_dim=2, hidden_dim=4, activation="prelu")
+    train_idx, val_idx, test_idx = stratified_graph_split(coll.labels, 0.2, 3)
+    enc, clf, losses, best_epoch, val_auprc = _end2end_graphs_before_train(
+        coll, cfg, train_idx, val_idx, 23, 0.01, 3)
+    readouts = np.vstack([graph_readout(enc, g).values for g in coll.graphs])
+    test_scores = _probabilities(
+        classifier_logits(readouts[test_idx], clf).values[:, 0])
+
+    res = graphlevel_pipeline(coll, "end2end", cfg, train_ratio=0.2, epochs=23,
+                              lr=0.01, seed=3)
+    assert res.losses == losses and res.val_auprc == val_auprc
+    assert res.test_scores.tobytes() == test_scores.tobytes()
+
+    def rows(encoder, idx):
+        return concat_rows([graph_readout(encoder, coll.graphs[i]) for i in idx])
+
+    fit = joint_fit(cfg, rows, train_idx, coll.labels[train_idx], val_idx,
+                    coll.labels[val_idx], 23, 0.01, 3)
+    assert fit.losses == losses
+    assert fit.best_epoch == best_epoch and fit.val_auprc == val_auprc
+    for a, b in zip(fit.encoder.params() + fit.classifier.params(),
+                    enc.params() + clf.params()):
+        assert a.values.tobytes() == b.values.tobytes()

@@ -1,8 +1,10 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from gadkit.graph import UNREACHABLE
-from gadkit.metrics import auprc, auroc, hop_avg_rank, normalized_ranks
+from gadkit.metrics import (auprc, auroc, hop_avg_rank, normalized_ranks,
+                            tied_ranks)
 
 
 def pairwise_auroc(scores, labels):
@@ -175,3 +177,55 @@ def test_hop_rank_bounds_and_monotone_invariance():
 def test_normalized_ranks_span():
     ranks = normalized_ranks([0.1, 0.9, 0.5])
     assert ranks.tolist() == [0.0, 1.0, 0.5]
+
+
+def _loop_tied_ranks(x):
+    """tied_ranks as the per-group Python loop it replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _loop_auprc(scores, labels):
+    """auprc as the per-group Python loop it replaced."""
+    p = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="mergesort")
+    s, y = scores[order], labels[order]
+    ap = 0.0
+    tp = fp = 0
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and s[j + 1] == s[i]:
+            j += 1
+        grp_tp = int(y[i:j + 1].sum())
+        tp += grp_tp
+        fp += (j - i + 1) - grp_tp
+        if grp_tp:
+            ap += (grp_tp / p) * (tp / (tp + fp))
+        i = j + 1
+    return float(ap)
+
+
+# few distinct values (signed zeros among them) so that ties are the rule
+_tie_heavy = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, -3.0, 1e-300]),
+                       st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_tie_heavy, st.integers(0, 1)), max_size=80))
+def test_vectorized_ranks_and_ap_match_their_loops_bit_for_bit(rows):
+    scores = np.array([s for s, _ in rows], dtype=np.float64)
+    labels = np.array([y for _, y in rows], dtype=np.int64)
+    assert tied_ranks(scores).tobytes() == _loop_tied_ranks(scores).tobytes()
+    if labels.any():
+        assert auprc(scores, labels) == _loop_auprc(scores, labels)
