@@ -7,9 +7,8 @@ pre-training helps: k-hop reachable ratios, per-hop anomaly ranking and
 density categorization.
 """
 
-from .graph import (LABEL_UNKNOWN, UNREACHABLE, Graph, NormalizedAdjacency,
-                    build_graph, graph_stats, multi_source_bfs_hops,
-                    normalize_adjacency, raw_adjacency)
+from .graph import (LABEL_UNKNOWN, UNREACHABLE, Graph, build_graph,
+                    graph_stats, multi_source_bfs_hops, normalize_adjacency)
 from .autodiff import Adam, NonFiniteError, Tape, Tensor, backward
 from .encoders import (EncoderConfig, EncoderState, encode, init_encoder,
                        load_encoder, save_encoder)

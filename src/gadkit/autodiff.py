@@ -35,7 +35,7 @@ class Tensor:
     (see Adam.zero_grad / zero_grad).
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "__weakref__")
+    __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad=False, *, _adopt=False):
         # _adopt: `values` is a fresh op result that nothing else holds, so
@@ -323,12 +323,11 @@ def zero_rows(h, rows):
 
 
 def spmm(adj, h):
-    """adj @ h for a symmetric SparseOperator; the adjoint reuses adj itself."""
-    _check_shape(adj.num_nodes == h.shape[0],
-                 f"operator over {adj.num_nodes} nodes cannot multiply {h.shape}")
-    mat = adj.matrix
-    return _emit(np.asarray(mat @ h.values), (h,),
-                 lambda g: (np.asarray(mat @ g),))
+    """adj @ h for a symmetric scipy sparse matrix; the adjoint reuses adj."""
+    _check_shape(adj.shape[1] == h.shape[0],
+                 f"operator over {adj.shape[1]} nodes cannot multiply {h.shape}")
+    return _emit(np.asarray(adj @ h.values), (h,),
+                 lambda g: (np.asarray(adj @ g),))
 
 
 def bce_with_logits(logits, targets, weights=None):

@@ -94,9 +94,9 @@ def _add_experiment_flags(p):
     p.add_argument("--train-ratio", type=float)
     p.add_argument("--k-hops", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="runs")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", help="output directory (default: runs)")
 
 
 def _dataset_from_args(args):
@@ -122,9 +122,9 @@ def _dataset_from_args(args):
 def _config_from_args(args):
     if args.config:
         with open(args.config) as fh:
-            base = config_from_dict(json.load(fh))
+            base = config_from_dict({"out_dir": "runs", **json.load(fh)})
     else:
-        base = ExperimentConfig(dataset=_dataset_from_args(args))
+        base = ExperimentConfig(dataset=_dataset_from_args(args), out_dir="runs")
     if args.synthetic or args.edges:
         base = dataclasses.replace(base, dataset=_dataset_from_args(args))
 
@@ -135,14 +135,15 @@ def _config_from_args(args):
                             ("pretrain_epochs", "pretrain_epochs"),
                             ("shuffle_ratio", "shuffle_ratio"),
                             ("mask_ratio", "mask_ratio"), ("gamma", "sce_gamma"),
-                            ("k_hops", "k_hops"), ("workers", "workers")))
+                            ("k_hops", "k_hops"), ("workers", "workers"),
+                            ("trials", "trials"), ("seed", "base_seed"),
+                            ("out", "out_dir")))
     split = base.split
     if args.split_regime:
         split = dataclasses.replace(split, regime=args.split_regime)
     split = dataclasses.replace(split, **_given(args, (
         ("n_anom", "n_anom"), ("n_norm", "n_norm"), ("train_ratio", "train_ratio"))))
-    return dataclasses.replace(base, split=split, trials=args.trials,
-                               base_seed=args.seed, out_dir=args.out, **updates)
+    return dataclasses.replace(base, split=split, **updates)
 
 
 def _print_aggregate(result):

@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import (Tensor, activation, bce_with_logits, gather_rows,
                        matmul, stable_sigmoid, train)
 from .encoders import encode, glorot, init_encoder
-from .graph import LABEL_UNKNOWN, cached_normalized_adjacency
+from .graph import LABEL_UNKNOWN
 from .metrics import auprc
 
 
@@ -174,7 +174,7 @@ def _split_xy(graph, split):
             val_idx, (graph.labels[val_idx] == 1).astype(np.float64))
 
 
-def finetune_run(encoder, graph, split, epochs=200, lr=0.005, seed=0, adjnorm=None):
+def finetune_run(encoder, graph, split, epochs=200, lr=0.005, seed=0):
     """Train only the classifier on frozen-encoder embeddings.
 
     Embeddings are computed once and cached; encoder gradients are never
@@ -182,19 +182,14 @@ def finetune_run(encoder, graph, split, epochs=200, lr=0.005, seed=0, adjnorm=No
     """
     if not encoder.frozen:
         raise ValueError("finetune_run requires a frozen encoder (see pretrain_run)")
-    if adjnorm is None:
-        adjnorm = cached_normalized_adjacency(graph)
     if split.train_anomalies.size == 0:
         raise ValueError("no labeled anomalies in the training split")
-    embeddings = encode(encoder, graph, adjnorm).values
+    embeddings = encode(encoder, graph).values
     return fit_classifier(embeddings, *_split_xy(graph, split), epochs, lr, seed)
 
 
-def end2end_run(encoder_config, graph, split, epochs=200, lr=0.005, seed=0,
-                adjnorm=None):
+def end2end_run(encoder_config, graph, split, epochs=200, lr=0.005, seed=0):
     """Jointly train encoder and classifier on the labeled training nodes."""
-    if adjnorm is None:
-        adjnorm = cached_normalized_adjacency(graph)
     if split.train_anomalies.size == 0:
         raise ValueError("no labeled anomalies in the training split")
     # hold the last full representation until the next forward pass has
@@ -204,22 +199,20 @@ def end2end_run(encoder_config, graph, split, epochs=200, lr=0.005, seed=0,
     last = {}
 
     def rows(encoder, idx):
-        last["h"] = encode(encoder, graph, adjnorm)
+        last["h"] = encode(encoder, graph)
         return gather_rows(last["h"], idx)
 
     return joint_fit(encoder_config, rows, *_split_xy(graph, split), epochs, lr, seed)
 
 
-def score_nodes(encoder, classifier, graph, node_subset, adjnorm=None):
+def score_nodes(encoder, classifier, graph, node_subset):
     """Anomaly probability for each node in the subset; pure function."""
     nodes = np.asarray(node_subset, dtype=np.int64)
     if nodes.size == 0:
         return ScoreVector(nodes=nodes, scores=np.empty(0))
     if nodes.min() < 0 or nodes.max() >= graph.num_nodes:
         raise ValueError("node subset index out of range")
-    if adjnorm is None:
-        adjnorm = cached_normalized_adjacency(graph)
-    h = encode(encoder, graph, adjnorm).values[nodes]
+    h = encode(encoder, graph).values[nodes]
     logits = classifier_logits(h, classifier).values[:, 0]
     return ScoreVector(nodes=nodes, scores=_probabilities(logits))
 

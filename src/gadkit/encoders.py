@@ -14,7 +14,6 @@ import numpy as np
 
 from .autodiff import (ACTIVATIONS, Tensor, activation, add, add_bias,
                        as_tensor, matmul, spmm)
-from .graph import raw_adjacency
 
 ENCODER_KINDS = ("gcn", "gin")
 
@@ -60,13 +59,6 @@ class EncoderState:
             p.requires_grad = False
         return self
 
-    def clone(self):
-        new = EncoderState(self.config, self.seed,
-                           [[Tensor(p.values, requires_grad=p.requires_grad) for p in layer]
-                            for layer in self.layers],
-                           frozen=self.frozen)
-        return new
-
 
 def glorot(rng, fan_in, fan_out, shape=None):
     """Glorot-uniform sample: entries in ±sqrt(6 / (fan_in + fan_out))."""
@@ -95,7 +87,7 @@ def init_encoder(config, seed):
     return EncoderState(config, seed, layers)
 
 
-def encode(state, graph, adjnorm, features_override=None):
+def encode(state, graph, features_override=None):
     """Node representations H (N x hidden) for the graph.
 
     features_override substitutes the graph's feature matrix; it may be a
@@ -110,10 +102,11 @@ def encode(state, graph, adjnorm, features_override=None):
                          f"({graph.num_nodes}, {cfg.input_dim})")
 
     if cfg.kind == "gcn":
+        adj = graph.normalized_adjacency
         for w, b in state.layers:
-            h = activation(add_bias(spmm(adjnorm, matmul(h, w)), b), cfg.activation)
+            h = activation(add_bias(spmm(adj, matmul(h, w)), b), cfg.activation)
     else:
-        adj = raw_adjacency(graph)
+        adj = graph.adjacency
         for w1, b1, w2, b2 in state.layers:
             z = add(h, spmm(adj, h))
             z = activation(matmul(z, w1, bias=b1), cfg.activation)

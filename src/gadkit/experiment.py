@@ -23,7 +23,7 @@ from .data import (SyntheticSpec, generate_synthetic, load_dataset,
 from .detector import end2end_run, finetune_run, save_scores, score_nodes
 from .diagnostics import k_hop_reachable_ratio
 from .encoders import EncoderConfig
-from .graph import UNREACHABLE, cached_normalized_adjacency
+from .graph import UNREACHABLE
 from .metrics import auprc, auroc, hop_avg_rank, normalized_ranks
 from .pretrain import pretrain_run, save_loss_curve
 
@@ -329,7 +329,8 @@ def run_experiment(config):
     completed trials only and a warning is emitted.
     """
     graph = load_config_graph(config)
-    cached_normalized_adjacency(graph)  # warm shared cache before any threads
+    # build the graph's operators on this thread: the trials only read them
+    _ = graph.adjacency, graph.normalized_adjacency
 
     def one(t):
         return run_trial(graph, config, config.base_seed + t)
@@ -419,7 +420,6 @@ def grid_search(config, grid):
     combos = list(itertools.product(*(grid[k] for k in keys)))
 
     graph = load_config_graph(config)
-    cached_normalized_adjacency(graph)
     rows = []
     for index, combo in enumerate(combos):
         cfg = replace(config, **dict(zip(keys, combo)))

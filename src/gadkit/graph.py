@@ -3,12 +3,12 @@
 Graphs are undirected and simple: input edges are symmetrized, duplicates
 collapsed, self-loops dropped. Self-loops reappear only inside the normalized
 propagation operator. Node labels use 0 = normal, 1 = anomaly,
-LABEL_UNKNOWN = -1.
+LABEL_UNKNOWN = -1. A graph holds its propagation operators A and Â as
+read-only scipy CSR matrices, each built once, on first use.
 """
 
 from dataclasses import dataclass
 import functools
-import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +21,11 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected attributed graph: CSR adjacency + features + labels."""
+    """Undirected attributed graph: CSR adjacency + features + labels.
+
+    Read `adjacency` (A: GIN) and `normalized_adjacency` (Â: GCN, masked
+    decoder) once before sharing the graph between threads.
+    """
 
     num_nodes: int
     indptr: np.ndarray
@@ -48,31 +52,30 @@ class Graph:
         keep = u < v
         return np.column_stack([u[keep], v[keep]])
 
-
-@dataclass(frozen=True, eq=False)
-class SparseOperator:
-    """Symmetric sparse matrix in CSR form used by propagation kernels."""
-
-    num_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
+    @functools.cached_property
+    def adjacency(self):
+        """A: unit weights on the neighbor lists, no self-loops."""
+        return _frozen_csr(np.ones(self.indices.size), self.indices, self.indptr)
 
     @functools.cached_property
-    def matrix(self):
-        """The operator as a scipy CSR matrix, built on first use."""
-        return sp.csr_matrix((self.weights, self.indices, self.indptr),
-                             shape=(self.num_nodes, self.num_nodes))
-
-
-class NormalizedAdjacency(SparseOperator):
-    """D̃^{-1/2} (A + I) D̃^{-1/2} with D̃ = D + I; every entry positive."""
+    def normalized_adjacency(self):
+        """Â = D̃^-½ (A+I) D̃^-½ (see normalize_adjacency)."""
+        return normalize_adjacency(self)
 
 
 def _freeze(arr):
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_csr(weights, indices, indptr):
+    """Square CSR matrix over the given rows whose arrays reject writes."""
+    n = indptr.size - 1
+    mat = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat
 
 
 def build_graph(edges, features, labels=None):
@@ -125,7 +128,10 @@ def build_graph(edges, features, labels=None):
 
 
 def normalize_adjacency(g):
-    """Symmetrically normalized adjacency with self-loops: Â = D̃^-½ (A+I) D̃^-½."""
+    """Symmetrically normalized adjacency with self-loops: Â = D̃^-½ (A+I) D̃^-½.
+
+    D̃ = D + I. A new read-only CSR matrix; g.normalized_adjacency keeps one.
+    """
     n = g.num_nodes
     deg = g.degrees.astype(np.float64)
 
@@ -138,29 +144,12 @@ def normalize_adjacency(g):
     order = np.lexsort((col, row))  # by row, then column within a row
     row, col = row[order], col[order]
     weights = 1.0 / np.sqrt((deg[row] + 1.0) * (deg[col] + 1.0))
-    return NormalizedAdjacency(n, _freeze(indptr), _freeze(col), _freeze(weights))
-
-
-_RAW_CACHE = weakref.WeakKeyDictionary()
-_NORM_CACHE = weakref.WeakKeyDictionary()
-
-
-def raw_adjacency(g):
-    """Unweighted adjacency of g as a SparseOperator (cached per graph)."""
-    op = _RAW_CACHE.get(g)
-    if op is None:
-        op = SparseOperator(g.num_nodes, g.indptr, g.indices,
-                            _freeze(np.ones(g.indices.size)))
-        _RAW_CACHE[g] = op
-    return op
+    return _frozen_csr(weights, col, indptr)
 
 
 def cached_normalized_adjacency(g):
-    op = _NORM_CACHE.get(g)
-    if op is None:
-        op = normalize_adjacency(g)
-        _NORM_CACHE[g] = op
-    return op
+    """g.normalized_adjacency, in the form of a function of the graph."""
+    return g.normalized_adjacency
 
 
 def multi_source_bfs_hops(g, sources):

@@ -19,7 +19,6 @@ from .data import load_dataset, save_dataset
 from .detector import (_probabilities, classifier_logits, fit_classifier,
                        joint_fit)
 from .encoders import encode
-from .graph import cached_normalized_adjacency
 from .metrics import auprc, auroc
 from .pretrain import OBJECTIVES, init_pretext
 
@@ -72,13 +71,11 @@ def downsample_class(collection, target_class, keep_fraction=0.10, seed=0):
                            labels=np.asarray(labels, dtype=np.int64))
 
 
-def graph_readout(encoder, graph, adjnorm=None):
+def graph_readout(encoder, graph):
     """Mean-pooled node representations, (1, hidden); differentiable."""
     if graph.num_nodes < 1:
         raise ValueError("cannot pool an empty graph")
-    if adjnorm is None:
-        adjnorm = cached_normalized_adjacency(graph)
-    return mean_rows(encode(encoder, graph, adjnorm))
+    return mean_rows(encode(encoder, graph))
 
 
 def stratified_graph_split(labels, train_ratio, seed):
@@ -108,8 +105,7 @@ def _collection_pretrain(collection, encoder_config, objective, epochs, lr, seed
                                               shuffle_ratio, mask_ratio, gamma)
 
     def mean_loss():
-        per_graph = [loss_fn(encoder, g, cached_normalized_adjacency(g), obj, rng)
-                     for g in collection.graphs]
+        per_graph = [loss_fn(encoder, g, obj, rng) for g in collection.graphs]
         return scale(reduce(add, per_graph), 1.0 / len(per_graph))
 
     losses, _ = train(encoder.params() + obj.params(), mean_loss, epochs, lr)

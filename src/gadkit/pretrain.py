@@ -17,7 +17,6 @@ from .autodiff import (Tensor, activation, add, add_bias, bce_with_logits,
                        gather_rows, matmul, mean_rows, row_substitute, scale,
                        scaled_cosine_error, spmm, train, transpose, zero_rows)
 from .encoders import encode, glorot, init_encoder
-from .graph import cached_normalized_adjacency
 
 OBJECTIVES = ("dgi", "graphmae")
 
@@ -101,14 +100,14 @@ def _discriminator_logits(h, w_disc, summary):
     return matmul(h, matmul(w_disc, transpose(summary)))
 
 
-def dgi_loss(encoder_state, graph, adjnorm, config, rng):
+def dgi_loss(encoder_state, graph, config, rng):
     """Contrastive loss: real nodes vs summary against shuffled ones, halved."""
     hidden = encoder_state.config.hidden_dim
     if config.w_disc.shape != (hidden, hidden):
         raise ValueError(f"discriminator is {config.w_disc.shape}, encoder hidden is {hidden}")
-    h_pos = encode(encoder_state, graph, adjnorm)
+    h_pos = encode(encoder_state, graph)
     corrupted = dgi_corrupt(graph.features, config.shuffle_ratio, rng)
-    h_neg = encode(encoder_state, graph, adjnorm, features_override=corrupted)
+    h_neg = encode(encoder_state, graph, features_override=corrupted)
     summary = activation(mean_rows(h_pos), "sigmoid")
     pos_logits = _discriminator_logits(h_pos, config.w_disc, summary)
     neg_logits = _discriminator_logits(h_neg, config.w_disc, summary)
@@ -118,7 +117,7 @@ def dgi_loss(encoder_state, graph, adjnorm, config, rng):
     return scale(add(loss_pos, loss_neg), 0.5)
 
 
-def graphmae_loss(encoder_state, graph, adjnorm, config, rng):
+def graphmae_loss(encoder_state, graph, config, rng):
     """Masked-feature reconstruction loss over the masked rows only."""
     n = graph.num_nodes
     m = int(np.ceil(config.mask_ratio * n))
@@ -127,9 +126,10 @@ def graphmae_loss(encoder_state, graph, adjnorm, config, rng):
     mask = rng.choice(n, size=m, replace=False)
     x = Tensor(graph.features)
     x_masked = row_substitute(x, mask, config.mask_token)
-    h = encode(encoder_state, graph, adjnorm, features_override=x_masked)
+    h = encode(encoder_state, graph, features_override=x_masked)
     h = zero_rows(h, mask)  # re-mask before decoding
-    x_hat = add_bias(matmul(spmm(adjnorm, h), config.w_dec), config.b_dec)
+    x_hat = add_bias(matmul(spmm(graph.normalized_adjacency, h), config.w_dec),
+                     config.b_dec)
     return scaled_cosine_error(gather_rows(x, mask), gather_rows(x_hat, mask),
                                config.gamma)
 
@@ -163,7 +163,7 @@ def init_pretext(encoder_config, objective, seed, shuffle_ratio, mask_ratio, gam
 
 
 def pretrain_run(graph, encoder_config, objective, epochs=200, lr=0.005, seed=0,
-                 shuffle_ratio=1.0, mask_ratio=0.5, gamma=2.0, adjnorm=None):
+                 shuffle_ratio=1.0, mask_ratio=0.5, gamma=2.0):
     """Optimize the encoder with a label-free objective; returns it frozen.
 
     Negatives/masks are redrawn every epoch. Deterministic per seed; a
@@ -171,10 +171,8 @@ def pretrain_run(graph, encoder_config, objective, epochs=200, lr=0.005, seed=0,
     """
     encoder, obj, loss_fn, rng = init_pretext(encoder_config, objective, seed,
                                               shuffle_ratio, mask_ratio, gamma)
-    if adjnorm is None:
-        adjnorm = cached_normalized_adjacency(graph)
     losses, _ = train(encoder.params() + obj.params(),
-                      lambda: loss_fn(encoder, graph, adjnorm, obj, rng), epochs, lr)
+                      lambda: loss_fn(encoder, graph, obj, rng), epochs, lr)
     encoder.freeze()
     return PretrainResult(encoder=encoder, losses=losses, objective_state=obj)
 

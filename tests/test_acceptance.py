@@ -8,6 +8,7 @@ pipeline on the synthetic benchmark and dominate the runtime (~10 minutes).
 import dataclasses
 import json
 import os
+from pathlib import Path
 import time
 
 import numpy as np
@@ -90,7 +91,6 @@ def _swap_params(holder_layers, it):
 def _composite_cases(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, 10, avg_degree=3.0, feature_dim=3)
-    adj = normalize_adjacency(g)
     cfg = EncoderConfig(kind="gcn", input_dim=3, hidden_dim=4, num_layers=2,
                         activation="tanh")
     cases = []
@@ -102,7 +102,7 @@ def _composite_cases(seed):
         it = iter(tensors)
         _swap_params(enc.layers, it)
         dgi.w_disc = next(it)
-        return dgi_loss(enc, g, adj, dgi, np.random.default_rng(seed + 1))
+        return dgi_loss(enc, g, dgi, np.random.default_rng(seed + 1))
 
     cases.append((dgi_composite,
                   [p.values.copy() for p in enc.params()]
@@ -116,7 +116,7 @@ def _composite_cases(seed):
         it = iter(tensors)
         _swap_params(enc2.layers, it)
         mae.mask_token, mae.w_dec, mae.b_dec = next(it), next(it), next(it)
-        return graphmae_loss(enc2, g, adj, mae, np.random.default_rng(seed + 2))
+        return graphmae_loss(enc2, g, mae, np.random.default_rng(seed + 2))
 
     cases.append((mae_composite,
                   [p.values.copy() for p in enc2.params()]
@@ -145,7 +145,7 @@ def _composite_cases(seed):
         it = iter(tensors)
         _swap_params(enc3.layers, it)
         clf2.w1, clf2.b1, clf2.w2, clf2.b2 = (next(it) for _ in range(4))
-        h = encode(enc3, g, adj)
+        h = encode(enc3, g)
         logits = classifier_logits(ad.gather_rows(h, train_idx), clf2)
         return bce_with_logits(logits, y, w)
 
@@ -341,7 +341,7 @@ def test_criterion_8_shuffle_ratio_ablation(tmp_path):
                               out_dir=str(tmp_path))
     rows, results = ablation_shuffle_ratio(config, [0.25, 0.5, 0.75, 1.0])
     csv_path = os.path.join(str(tmp_path), "ablation_shuffle.csv")
-    lines = open(csv_path).read().strip().splitlines()
+    lines = Path(csv_path).read_text().strip().splitlines()
     csv_ok = lines[0] == "shuffle_ratio,mean_auroc" and len(lines) == 5
     losses_ok = all(t.losses[-1] < t.losses[0]
                     for res in results for t in res.trials)
@@ -370,8 +370,7 @@ def test_criterion_9_bit_identical_reruns(tmp_path):
         for attempt in ("x", "y"):
             out = str(tmp_path / f"cfg{i}{attempt}")
             res = run_experiment(dataclasses.replace(base, out_dir=out))
-            blobs.append(open(os.path.join(res.run_dir,
-                                           "aggregate.json"), "rb").read())
+            blobs.append(Path(res.run_dir, "aggregate.json").read_bytes())
         same = blobs[0] == blobs[1]
         ok &= same
         detail.append(f"config {i} identical={same}")

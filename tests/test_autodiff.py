@@ -59,7 +59,7 @@ def test_spmm_matches_dense_product():
     dense = np.zeros((20, 20))
     for u in range(20):
         lo, hi = adj.indptr[u], adj.indptr[u + 1]
-        dense[u, adj.indices[lo:hi]] = adj.weights[lo:hi]
+        dense[u, adj.indices[lo:hi]] = adj.data[lo:hi]
     h = rng.standard_normal((20, 4))
     got = spmm(adj, Tensor(h)).values
     assert np.abs(got - dense @ h).max() < 1e-12

@@ -76,6 +76,30 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     assert payload["config"]["base_seed"] == 3
 
 
+def test_config_file_trials_seed_and_out_dir_apply_without_flags(
+        tmp_path, capsys, monkeypatch):
+    config = {
+        "dataset": {"synthetic": {"num_nodes": 300, "anomaly_fraction": 0.2,
+                                  "clique_size": 4, "feature_dim": 6}},
+        "paradigm": "end2end",
+        "hidden_dim": 8,
+        "epochs": 5,
+        "trials": 2,
+        "base_seed": 7,
+    }
+    monkeypatch.chdir(tmp_path)
+    for name, extra in (("given.json", {"out_dir": str(tmp_path / "given")}),
+                        ("unset.json", {})):
+        path = tmp_path / name
+        path.write_text(json.dumps({**config, **extra}))
+        assert main(["run", "--config", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_trials"] == 2
+        assert payload["config"]["base_seed"] == 7
+        out_dir = tmp_path / ("given" if extra else "runs")
+        assert (out_dir / payload["config_hash"] / "aggregate.json").exists()
+
+
 def test_config_from_dict_round_trip():
     cfg = config_from_dict({
         "dataset": {"synthetic": {"num_nodes": 500}},

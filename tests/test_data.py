@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ def test_round_trip_bit_identical(tmp_path):
     paths2 = [str(tmp_path / n) for n in ("e2.txt", "x2.csv", "y2.txt")]
     save_dataset(g2, *paths2)
     for a, b in zip(paths, paths2):
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_synthetic_label_count_exact():

@@ -5,7 +5,7 @@ from gadkit.data import SyntheticSpec, generate_synthetic, make_semi_split
 from gadkit.detector import (end2end_run, finetune_run, init_classifier,
                              score_nodes)
 from gadkit.encoders import EncoderConfig, init_encoder
-from gadkit.graph import build_graph, normalize_adjacency
+from gadkit.graph import build_graph
 from gadkit.metrics import auroc
 from gadkit.pretrain import pretrain_run
 
@@ -117,7 +117,6 @@ def test_end2end_gradient_matches_finite_differences():
     labels = np.zeros(n, dtype=np.int64)
     labels[:3] = 1
     g = build_graph(edges, rng.standard_normal((n, 3)), labels)
-    adj = normalize_adjacency(g)
     cfg = EncoderConfig(kind="gcn", input_dim=3, hidden_dim=4, num_layers=2,
                         activation="tanh")
     enc = init_encoder(cfg, seed=0)
@@ -136,7 +135,7 @@ def test_end2end_gradient_matches_finite_differences():
             for i in range(len(layer)):
                 layer[i] = next(it)
         clf.w1, clf.b1, clf.w2, clf.b2 = (next(it) for _ in range(4))
-        h = encode(enc, g, adj)
+        h = encode(enc, g)
         return bce_with_logits(classifier_logits(gather_rows(h, train_idx), clf),
                                y, weights)
 
@@ -217,10 +216,8 @@ def _end2end_loop_before_train(encoder_config, graph, split, epochs, lr, seed):
                                  gather_rows)
     from gadkit.detector import _probabilities, class_weights, classifier_logits
     from gadkit.encoders import encode
-    from gadkit.graph import cached_normalized_adjacency
     from gadkit.metrics import auprc
 
-    adjnorm = cached_normalized_adjacency(graph)
     rng = np.random.default_rng(seed)
     enc_seed = int(rng.integers(2 ** 31))
     clf_seed = int(rng.integers(2 ** 31))
@@ -238,21 +235,21 @@ def _end2end_loop_before_train(encoder_config, graph, split, epochs, lr, seed):
     for epoch in range(epochs):
         opt.zero_grad()
         with Tape() as tape:
-            h = encode(encoder, graph, adjnorm)
+            h = encode(encoder, graph)
             logits = classifier_logits(gather_rows(h, train_idx), clf)
             loss = bce_with_logits(logits, y_col, weights)
         backward(tape, loss, params=params)
         opt.step()
         losses.append(loss.item())
         if (epoch + 1) % 10 == 0 or epoch == epochs - 1:
-            h_val = encode(encoder, graph, adjnorm).values[val_idx]
+            h_val = encode(encoder, graph).values[val_idx]
             scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
             score = auprc(scores, val_y)
             if best is None or score > best[0]:
                 best = (score, epoch, [p.values.copy() for p in params])
     for p, values in zip(params, best[2]):
         p.values = values
-    h_val = encode(encoder, graph, adjnorm).values[val_idx]
+    h_val = encode(encoder, graph).values[val_idx]
     val_scores = _probabilities(classifier_logits(h_val, clf).values[:, 0])
     return encoder, clf, losses, best[1], best[0], val_scores
 

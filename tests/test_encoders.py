@@ -5,7 +5,7 @@ from gadkit import autodiff as ad
 from gadkit.autodiff import Tape, Tensor, backward, sum_all
 from gadkit.encoders import (EncoderConfig, encode, init_encoder,
                              load_encoder, save_encoder)
-from gadkit.graph import build_graph, normalize_adjacency, raw_adjacency
+from gadkit.graph import build_graph
 
 from conftest import assert_gradients_match, random_graph
 
@@ -56,20 +56,18 @@ def test_glorot_bounds():
 def test_zero_weights_give_constant_rows():
     rng = np.random.default_rng(2)
     g = small_graph(rng)
-    adj = normalize_adjacency(g)
     cfg = EncoderConfig(kind="gcn", input_dim=4, hidden_dim=3, num_layers=2,
                         activation="sigmoid")
     enc = init_encoder(cfg, seed=0)
     for p in enc.params():
         p.values = np.zeros_like(p.values)
-    h = encode(enc, g, adj).values
+    h = encode(enc, g).values
     assert np.allclose(h, 0.5)  # sigmoid(0) rows, identical across nodes
     assert np.abs(h - h[0]).max() == 0.0
 
 
 def test_single_gcn_layer_matches_hand_computation():
     g = build_graph([(0, 1)], np.array([[1.0, 2.0], [3.0, 4.0]]))
-    adj = normalize_adjacency(g)
     cfg = EncoderConfig(kind="gcn", input_dim=2, hidden_dim=2, num_layers=1,
                         activation="tanh")
     enc = init_encoder(cfg, seed=0)
@@ -77,7 +75,7 @@ def test_single_gcn_layer_matches_hand_computation():
     enc.layers[0][0].values = w.copy()
     a_hat = np.full((2, 2), 0.5)
     expect = np.tanh(a_hat @ g.features @ w)
-    got = encode(enc, g, adj).values
+    got = encode(enc, g).values
     assert np.abs(got - expect).max() < 1e-12
 
 
@@ -88,14 +86,14 @@ def test_permutation_equivariance(kind):
     g = small_graph(rng, n=n, d=d)
     cfg = EncoderConfig(kind=kind, input_dim=d, hidden_dim=5, num_layers=2)
     enc = init_encoder(cfg, seed=3)
-    h = encode(enc, g, normalize_adjacency(g)).values
+    h = encode(enc, g).values
 
     perm = rng.permutation(n)
     remapped = [(perm[u], perm[v]) for u, v in g.edge_list()]
     feats = np.empty_like(g.features)
     feats[perm] = g.features
     g2 = build_graph(remapped, feats)
-    h2 = encode(enc, g2, normalize_adjacency(g2)).values
+    h2 = encode(enc, g2).values
     assert np.abs(h2[perm] - h).max() < 1e-10
 
 
@@ -103,7 +101,6 @@ def test_permutation_equivariance(kind):
 def test_encode_gradient_matches_finite_differences(kind):
     rng = np.random.default_rng(11)
     g = small_graph(rng, n=8, d=3)
-    adj = normalize_adjacency(g)
     cfg = EncoderConfig(kind=kind, input_dim=3, hidden_dim=4, num_layers=2,
                         activation="tanh")
     enc = init_encoder(cfg, seed=1)
@@ -114,14 +111,14 @@ def test_encode_gradient_matches_finite_differences(kind):
         for layer in enc.layers:
             for i in range(len(layer)):
                 layer[i] = next(it)
-        return sum_all(encode(enc, g, adj))
+        return sum_all(encode(enc, g))
 
     assert_gradients_match(loss_from, arrays)
 
 
 def _gin_with_unit_scale(enc, g, x):
     """GIN forward as first written: a recorded ×1.0 node and separate biases."""
-    adj = raw_adjacency(g)
+    adj = g.adjacency
     h = x
     for w1, b1, w2, b2 in enc.layers:
         z = ad.add(ad.scale(h, 1.0), ad.spmm(adj, h))
@@ -147,7 +144,7 @@ def test_gin_matches_unit_scale_form_bit_for_bit():
         backward(tape, loss)
         return [h.values, x.grad] + [p.grad for p in enc.params()]
 
-    got = run(lambda enc, x: encode(enc, g, normalize_adjacency(g), features_override=x))
+    got = run(lambda enc, x: encode(enc, g, features_override=x))
     expect = run(lambda enc, x: _gin_with_unit_scale(enc, g, x))
     for a, b in zip(got, expect):
         assert a.tobytes() == b.tobytes()
@@ -156,21 +153,19 @@ def test_gin_matches_unit_scale_form_bit_for_bit():
 def test_features_override_identity():
     rng = np.random.default_rng(13)
     g = small_graph(rng)
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=4, hidden_dim=4), seed=0)
-    a = encode(enc, g, adj).values
-    b = encode(enc, g, adj, features_override=g.features).values
+    a = encode(enc, g).values
+    b = encode(enc, g, features_override=g.features).values
     assert np.array_equal(a, b)
 
 
 def test_features_override_flows_gradients():
     rng = np.random.default_rng(17)
     g = small_graph(rng, n=6, d=3)
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=3, hidden_dim=2), seed=0)
     x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(encode(enc, g, adj, features_override=x))
+        loss = sum_all(encode(enc, g, features_override=x))
     backward(tape, loss)
     assert x.grad is not None and np.abs(x.grad).max() > 0
 
@@ -180,14 +175,13 @@ def test_encode_rejects_wrong_width():
     g = small_graph(rng, d=4)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=5, hidden_dim=4), seed=0)
     with pytest.raises(ValueError, match="does not match"):
-        encode(enc, g, normalize_adjacency(g))
+        encode(enc, g)
 
 
 @pytest.mark.parametrize("kind", ["gcn", "gin"])
 def test_checkpoint_round_trip(tmp_path, kind):
     rng = np.random.default_rng(23)
     g = small_graph(rng, d=4)
-    adj = normalize_adjacency(g)
     cfg = EncoderConfig(kind=kind, input_dim=4, hidden_dim=6, num_layers=2,
                         activation="prelu")
     enc = init_encoder(cfg, seed=9)
@@ -199,18 +193,17 @@ def test_checkpoint_round_trip(tmp_path, kind):
     assert loaded.frozen
     for pa, pb in zip(enc.params(), loaded.params()):
         assert np.array_equal(pa.values, pb.values)
-    assert np.array_equal(encode(enc, g, adj).values,
-                          encode(loaded, g, adj).values)
+    assert np.array_equal(encode(enc, g).values,
+                          encode(loaded, g).values)
 
 
 def test_frozen_encoder_records_no_gradients():
     rng = np.random.default_rng(29)
     g = small_graph(rng, d=4)
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=4, hidden_dim=4), seed=0)
     enc.freeze()
     with Tape() as tape:
-        encode(enc, g, adj)
+        encode(enc, g)
     assert not tape._nodes
 
 

@@ -1,10 +1,14 @@
 import json
 import os
+from pathlib import Path
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import gadkit.experiment as ex
+import gadkit.graph
 from gadkit.data import SyntheticSpec
 from gadkit.experiment import (ExperimentConfig, SplitRegime,
                                ablation_shuffle_ratio, grid_search,
@@ -90,7 +94,7 @@ def test_trial_artifacts_layout(tmp_path):
     assert 0.0 < float(first[1]) < 1.0  # plain parseable decimal
     assert first[2] in ("0", "1")
 
-    payload = json.loads(open(os.path.join(trial_dir, "reachability.json")).read())
+    payload = json.loads(Path(trial_dir, "reachability.json").read_text())
     assert set(payload) == {"R", "n_labeled", "n_unlabeled", "hops"}
     assert len(payload["R"]) == config.k_hops
 
@@ -122,6 +126,34 @@ def test_workers_produce_same_aggregate(tmp_path):
     threaded = run_experiment(tiny_config(trials=2, workers=2,
                                           out_dir=str(tmp_path / "t")))
     assert serial.aggregate == threaded.aggregate
+
+
+def test_workers_share_operators_built_once_on_the_calling_thread(monkeypatch):
+    built = []
+    real_csr = gadkit.graph._frozen_csr
+    real_normalize = gadkit.graph.normalize_adjacency
+
+    def recording_csr(*args):
+        built.append(("csr", threading.get_ident()))
+        return real_csr(*args)
+
+    def recording_normalize(g):
+        built.append(("normalize", threading.get_ident()))
+        return real_normalize(g)
+
+    monkeypatch.setattr(gadkit.graph, "_frozen_csr", recording_csr)
+    monkeypatch.setattr(gadkit.graph, "normalize_adjacency", recording_normalize)
+    # more threads than cores, switching often, so unguarded builds would race
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = run_experiment(tiny_config(encoder_kind="gin", trials=4, workers=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.ok and len(result.trials) == 4
+    main = threading.get_ident()
+    # one CSR for A, and one for Â inside its one normalize_adjacency call
+    assert sorted(built) == [("csr", main), ("csr", main), ("normalize", main)]
 
 
 def test_end2end_paradigm_runs():
@@ -157,8 +189,7 @@ def test_grid_full_table(tmp_path, monkeypatch):
     assert result.best_config.lr == 0.005
     assert result.best_config.num_layers == 3
     assert os.path.exists(os.path.join(str(tmp_path), "grid.csv"))
-    trace = json.loads(open(os.path.join(str(tmp_path),
-                                         "selection_trace.json")).read())
+    trace = json.loads(Path(tmp_path, "selection_trace.json").read_text())
     assert trace["selected_index"] == result.best_index
     # selection never sees test metrics
     assert all("auroc" not in k or k.startswith("val")
@@ -187,7 +218,7 @@ def test_ablation_rows_and_cross_check(tmp_path):
     independent = run_experiment(
         ExperimentConfig(**{**config.__dict__, "shuffle_ratio": 0.25}))
     assert rows[0][1] == independent.aggregate["metrics"]["auroc"]["mean"]
-    csv = open(os.path.join(str(tmp_path), "ablation_shuffle.csv")).read()
+    csv = Path(tmp_path, "ablation_shuffle.csv").read_text()
     assert csv.startswith("shuffle_ratio,mean_auroc\n")
     assert len(csv.strip().splitlines()) == 3
 
@@ -206,7 +237,7 @@ def test_sweep_labels_rows(tmp_path):
     for _, score, r2 in rows:
         assert 0.0 <= score <= 1.0
         assert 0.0 <= r2 <= 1.0
-    csv = open(os.path.join(str(tmp_path), "sweep_labels.csv")).read()
+    csv = Path(tmp_path, "sweep_labels.csv").read_text()
     assert csv.startswith("n_labeled_anomalies,mean_auroc,mean_r2\n")
 
 

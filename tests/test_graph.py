@@ -55,7 +55,7 @@ def test_normalize_single_edge():
     g = build_graph([(0, 1)], np.zeros((2, 1)))
     adj = normalize_adjacency(g)
     # both degrees 1: every weight is 1/sqrt(2*2) = 1/2
-    assert np.allclose(adj.weights, 0.5)
+    assert np.allclose(adj.data, 0.5)
     assert adj.indptr[-1] == 4  # two neighbors + two diagonals
 
 
@@ -63,7 +63,7 @@ def test_normalize_isolated_node():
     g = build_graph([], np.zeros((1, 1)))
     adj = normalize_adjacency(g)
     assert adj.indices.tolist() == [0]
-    assert adj.weights.tolist() == [1.0]
+    assert adj.data.tolist() == [1.0]
 
 
 def test_normalize_matches_dense_formula():
@@ -79,10 +79,10 @@ def test_normalize_matches_dense_formula():
     dense = np.zeros_like(expect)
     for u in range(g.num_nodes):
         lo, hi = adj.indptr[u], adj.indptr[u + 1]
-        dense[u, adj.indices[lo:hi]] = adj.weights[lo:hi]
+        dense[u, adj.indices[lo:hi]] = adj.data[lo:hi]
     assert np.abs(dense - expect).max() < 1e-12
     assert np.abs(dense - dense.T).max() == 0.0
-    assert (adj.weights > 0).all()
+    assert (adj.data > 0).all()
 
 
 def _loop_normalize_adjacency(g):
@@ -112,7 +112,14 @@ def test_normalize_matches_loop_oracle_bit_for_bit(case):
     indptr, indices, weights = _loop_normalize_adjacency(g)
     assert np.array_equal(adj.indptr, indptr)
     assert np.array_equal(adj.indices, indices)
-    assert adj.weights.tobytes() == weights.tobytes()
+    assert adj.data.tobytes() == weights.tobytes()
+    # the graph's own operators: Â as above, A over the neighbor lists
+    ones = np.ones(g.indices.size)
+    neighbors = np.concatenate([g.neighbors(u) for u in range(n)])
+    for mat, (ptr, idx, w) in ((g.normalized_adjacency, (indptr, indices, weights)),
+                               (g.adjacency, (g.indptr, neighbors, ones))):
+        assert (mat.shape == (n, n) and np.array_equal(mat.indptr, ptr)
+                and np.array_equal(mat.indices, idx) and mat.data.tobytes() == w.tobytes())
 
 
 def test_bfs_path():
@@ -216,14 +223,15 @@ def test_graph_is_immutable():
         g.features[0, 0] = 1.0
 
 
-def test_operator_matrix_is_built_once_and_holds_the_operator():
+def test_graph_operators_are_built_once_and_read_only():
     rng = np.random.default_rng(41)
     g = random_graph(rng, 30)
-    adj = normalize_adjacency(g)
-    mat = adj.matrix
-    assert adj.matrix is mat
-    dense = np.zeros((g.num_nodes, g.num_nodes))
-    for u in range(g.num_nodes):
-        cols = adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
-        dense[u, cols] = adj.weights[adj.indptr[u]:adj.indptr[u + 1]]
-    assert np.array_equal(mat.toarray(), dense)
+    for name in ("adjacency", "normalized_adjacency"):
+        mat = getattr(g, name)
+        assert getattr(g, name) is mat
+        with pytest.raises(ValueError):
+            mat.data[0] = 2.0
+    expect = normalize_adjacency(g)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(g.normalized_adjacency, attr), getattr(expect, attr))
+    assert np.array_equal(g.adjacency.toarray(), dense_adjacency(g))

@@ -73,8 +73,7 @@ def test_readout_single_node_graph():
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=2, hidden_dim=3), 0)
     out = graph_readout(enc, g)
     from gadkit.encoders import encode
-    from gadkit.graph import normalize_adjacency
-    h = encode(enc, g, normalize_adjacency(g)).values
+    h = encode(enc, g).values
     assert np.array_equal(out.values, h)
 
 

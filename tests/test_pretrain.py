@@ -4,7 +4,7 @@ import pytest
 from gadkit import pretrain as pt
 from gadkit.autodiff import Tensor, gather_rows, scaled_cosine_error
 from gadkit.encoders import EncoderConfig, init_encoder
-from gadkit.graph import build_graph, normalize_adjacency
+from gadkit.graph import build_graph
 from gadkit.pretrain import (DgiConfig, MaeConfig, corruption_plan, dgi_corrupt,
                              dgi_loss, graphmae_loss, pretrain_run)
 
@@ -50,13 +50,12 @@ def chain_graph(n=10, d=3, seed=0):
 
 def test_dgi_loss_is_ln2_with_zero_discriminator():
     g = chain_graph()
-    adj = normalize_adjacency(g)
     for enc_seed in (0, 1, 2):
         enc = init_encoder(EncoderConfig(kind="gcn", input_dim=3, hidden_dim=4),
                            seed=enc_seed)
         cfg = DgiConfig.create(4, shuffle_ratio=1.0, seed=0)
         cfg.w_disc.values = np.zeros((4, 4))
-        loss = dgi_loss(enc, g, adj, cfg, np.random.default_rng(0))
+        loss = dgi_loss(enc, g, cfg, np.random.default_rng(0))
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-14)
 
 
@@ -65,29 +64,26 @@ def test_dgi_loss_saturates_under_perfect_separation(monkeypatch):
     # tanh(20) ~ +1; corruption is patched to negate features, so negatives
     # land at -1 and a large discriminator weight separates them perfectly.
     g = build_graph([], np.ones((6, 1)))
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=1, hidden_dim=1,
                                      num_layers=1, activation="tanh"), seed=0)
     enc.layers[0][0].values = np.array([[20.0]])
     cfg = DgiConfig.create(1, shuffle_ratio=1.0, seed=0)
     cfg.w_disc.values = np.array([[70.0]])
     monkeypatch.setattr(pt, "dgi_corrupt", lambda x, p, rng: -x)
-    loss = dgi_loss(enc, g, adj, cfg, np.random.default_rng(0))
+    loss = dgi_loss(enc, g, cfg, np.random.default_rng(0))
     assert loss.item() < 1e-12
 
 
 def test_dgi_loss_checks_dimensions():
     g = chain_graph()
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=3, hidden_dim=4), seed=0)
     cfg = DgiConfig.create(5, seed=0)
     with pytest.raises(ValueError, match="hidden"):
-        dgi_loss(enc, g, adj, cfg, np.random.default_rng(0))
+        dgi_loss(enc, g, cfg, np.random.default_rng(0))
 
 
 def test_dgi_gradient_matches_finite_differences():
     g = chain_graph(n=7, d=2, seed=5)
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=2, hidden_dim=3,
                                      num_layers=2, activation="tanh"), seed=1)
     cfg = DgiConfig.create(3, shuffle_ratio=0.6, seed=2)
@@ -99,7 +95,7 @@ def test_dgi_gradient_matches_finite_differences():
             for i in range(len(layer)):
                 layer[i] = next(it)
         cfg.w_disc = next(it)
-        return dgi_loss(enc, g, adj, cfg, np.random.default_rng(11))
+        return dgi_loss(enc, g, cfg, np.random.default_rng(11))
 
     assert_gradients_match(loss_from, arrays)
 
@@ -109,22 +105,20 @@ def test_graphmae_loss_zero_when_decoder_hits_targets():
     # that row reconstruct the target exactly, so the masked SCE vanishes
     row = np.array([1.0, 2.0, -0.5])
     g = build_graph([(0, 1), (1, 2), (2, 3)], np.tile(row, (4, 1)))
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=3, hidden_dim=2), seed=0)
     cfg = MaeConfig.create(3, 2, mask_ratio=0.5, gamma=2.0, seed=0)
     cfg.w_dec.values = np.zeros((2, 3))
     cfg.b_dec.values = row.reshape(1, 3).copy()
-    loss = graphmae_loss(enc, g, adj, cfg, np.random.default_rng(0))
+    loss = graphmae_loss(enc, g, cfg, np.random.default_rng(0))
     assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_graphmae_full_mask_reduces_to_unrestricted_sce():
     rng_seed = 13
     g = chain_graph(n=10, d=3, seed=9)
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=3, hidden_dim=4), seed=1)
     cfg = MaeConfig.create(3, 4, mask_ratio=0.99, gamma=2.0, seed=2)  # ceil -> all
-    loss = graphmae_loss(enc, g, adj, cfg, np.random.default_rng(rng_seed))
+    loss = graphmae_loss(enc, g, cfg, np.random.default_rng(rng_seed))
 
     # with every row masked, H is all zeros after re-masking and the decoder
     # emits its bias row everywhere; SCE over all rows must agree
@@ -150,7 +144,6 @@ def test_graphmae_loss_reads_only_masked_rows():
 
 def test_graphmae_gradient_matches_finite_differences():
     g = chain_graph(n=6, d=2, seed=3)
-    adj = normalize_adjacency(g)
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=2, hidden_dim=3,
                                      num_layers=1, activation="tanh"), seed=4)
     cfg = MaeConfig.create(2, 3, mask_ratio=0.5, gamma=2.0, seed=5)
@@ -167,7 +160,7 @@ def test_graphmae_gradient_matches_finite_differences():
         cfg.mask_token = next(it)
         cfg.w_dec = next(it)
         cfg.b_dec = next(it)
-        return graphmae_loss(enc, g, adj, cfg, np.random.default_rng(19))
+        return graphmae_loss(enc, g, cfg, np.random.default_rng(19))
 
     assert_gradients_match(loss_from, arrays)
 
