@@ -259,6 +259,48 @@ def mean_rows(h):
     return _emit(out, (h,), lambda g: (np.repeat(g, n, axis=0) / n,))
 
 
+def _segment_sizes(ptr, rows):
+    """Validated offsets (G + 1,) splitting `rows` rows into G non-empty runs."""
+    ptr = np.asarray(ptr, dtype=np.int64)
+    if ptr.ndim != 1 or ptr.size < 2 or ptr[0] != 0 or ptr[-1] != rows:
+        raise ValueError(f"segment offsets must run from 0 to {rows}")
+    sizes = np.diff(ptr)
+    if (sizes < 1).any():
+        raise ValueError("segments must be non-empty")
+    return ptr, sizes
+
+
+def segment_mean(h, ptr):
+    """(G, cols): row g is mean_rows of rows ptr[g]:ptr[g+1] of h.
+
+    Each segment is averaged by mean_rows' own reduction, so the result
+    equals it bit for bit; np.add.reduceat sums columns in another order.
+    """
+    ptr, sizes = _segment_sizes(ptr, h.shape[0])
+    x = h.values
+    bounds = ptr.tolist()
+    out = np.vstack([x[a:b].mean(axis=0, keepdims=True)
+                     for a, b in zip(bounds[:-1], bounds[1:])])
+    n = np.repeat(sizes, sizes)[:, None]
+    return _emit(out, (h,), lambda g: (np.repeat(g, sizes, axis=0) / n,))
+
+
+def segment_dot(h, v, ptr):
+    """(N, 1) column of h_i . v_g, for row i of h in segment g.
+
+    v holds one row per segment; no (N, G) product is formed.
+    """
+    ptr, sizes = _segment_sizes(ptr, h.shape[0])
+    _check_shape(v.shape == (sizes.size, h.shape[1]),
+                 f"segment rows {v.shape} do not match {sizes.size} segments "
+                 f"of width {h.shape[1]}")
+    hv = h.values
+    v_rows = np.repeat(v.values, sizes, axis=0)
+    out = (hv * v_rows).sum(axis=1, keepdims=True)
+    return _emit(out, (h, v), lambda g: (
+        g * v_rows, np.add.reduceat(g * hv, ptr[:-1], axis=0)))
+
+
 def sum_all(h):
     return _emit(np.array([[h.values.sum()]]), (h,),
                  lambda g: (np.full_like(h.values, g[0, 0]),))
@@ -356,8 +398,12 @@ def bce_with_logits(logits, targets, weights=None):
 _NORM_EPS = 1e-12
 
 
-def scaled_cosine_error(x, xhat, gamma):
-    """Mean over rows of (1 - cos(x_i, xhat_i))^gamma, gamma >= 1."""
+def scaled_cosine_error(x, xhat, gamma, weights=None):
+    """Mean over rows of (1 - cos(x_i, xhat_i))^gamma, gamma >= 1.
+
+    Optional per-row weights scale each row's term before the mean, as in
+    bce_with_logits.
+    """
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     _check_shape(x.shape == xhat.shape,
@@ -365,16 +411,21 @@ def scaled_cosine_error(x, xhat, gamma):
     m = x.shape[0]
     if m < 1:
         raise ValueError("need at least one row")
+    if weights is None:
+        w = np.ones((m, 1))
+    else:
+        w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+        _check_shape(w.shape == (m, 1), f"{w.size} weights for {m} rows")
     xv, rv = x.values, xhat.values
     nx = np.maximum(np.linalg.norm(xv, axis=1, keepdims=True), _NORM_EPS)
     nr = np.maximum(np.linalg.norm(rv, axis=1, keepdims=True), _NORM_EPS)
     cos = (xv * rv).sum(axis=1, keepdims=True) / (nx * nr)
     d = np.maximum(1.0 - cos, 0.0)
-    out = np.array([[(d ** gamma).mean()]])
+    out = np.array([[(w * d ** gamma).sum() / m]])
 
     def vjp(g):
         # d/dc (1-c)^gamma = -gamma (1-c)^(gamma-1); dc/dx̂ via quotient rule
-        coef = -g[0, 0] * gamma * d ** (gamma - 1.0) / m
+        coef = -g[0, 0] * gamma * d ** (gamma - 1.0) / m * w
         dc_dr = xv / (nx * nr) - cos * rv / (nr * nr)
         dc_dx = rv / (nx * nr) - cos * xv / (nx * nx)
         return coef * dc_dx, coef * dc_dr

@@ -328,7 +328,11 @@ def run_experiment(config):
     A failing trial is recorded (not raised); aggregation then covers the
     completed trials only and a warning is emitted.
     """
-    graph = load_config_graph(config)
+    return _run_on_graph(load_config_graph(config), config)
+
+
+def _run_on_graph(graph, config):
+    """run_experiment on config's graph, already loaded by the caller."""
     # build the graph's operators on this thread: the trials only read them
     _ = graph.adjacency, graph.normalized_adjacency
 
@@ -409,7 +413,8 @@ def grid_search(config, grid):
 
     Ties break on higher validation AUROC, then smaller hidden dimension,
     fewer layers, and finally declaration order. Test metrics are computed
-    only for the winning configuration, by a fresh run_experiment.
+    only for the winning configuration, by a fresh experiment on the same
+    graph.
     """
     if not grid:
         raise ValueError("grid is empty")
@@ -437,7 +442,7 @@ def grid_search(config, grid):
                                     r["hidden_dim"], r["num_layers"], r["index"]))
     best_config = replace(config, **{k: combos[best["index"]][i]
                                      for i, k in enumerate(keys)})
-    experiment = run_experiment(best_config)
+    experiment = _run_on_graph(graph, best_config)
 
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -469,9 +474,10 @@ def ablation_shuffle_ratio(config, ratios, csv_path=None):
     for r in ratios:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"shuffle ratio {r} outside [0, 1]")
+    graph = load_config_graph(config)
     rows, results = [], []
     for r in ratios:
-        res = run_experiment(replace(config, shuffle_ratio=float(r)))
+        res = _run_on_graph(graph, replace(config, shuffle_ratio=float(r)))
         rows.append((float(r), res.aggregate["metrics"]["auroc"]["mean"]))
         results.append(res)
     if csv_path is None and config.out_dir:
@@ -499,7 +505,7 @@ def sweep_labeled_anomalies(config, counts, csv_path=None):
             raise ValueError(f"count {count} exceeds available anomalies "
                              f"({available} total, 20 reserved for validation)")
         cfg = replace(config, split=replace(config.split, n_anom=int(count)))
-        res = run_experiment(cfg)
+        res = _run_on_graph(graph, cfg)
         r2 = res.aggregate["metrics"].get("r2", {}).get("mean")
         rows.append((int(count), res.aggregate["metrics"]["auroc"]["mean"], r2))
         results.append(res)

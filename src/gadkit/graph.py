@@ -70,9 +70,15 @@ def _freeze(arr):
 
 
 def _frozen_csr(weights, indices, indptr):
-    """Square CSR matrix over the given rows whose arrays reject writes."""
+    """Square CSR matrix over the given rows whose arrays reject writes.
+
+    The index arrays are handed over in the dtype scipy would narrow them
+    to (int32 while n and nnz fit), which spares it a scan of their contents.
+    """
     n = indptr.size - 1
-    mat = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
+    index_dtype = np.int32 if max(n, indices.size) <= np.iinfo(np.int32).max else np.int64
+    mat = sp.csr_matrix((weights, indices.astype(index_dtype), indptr.astype(index_dtype)),
+                        shape=(n, n))
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
     return mat
@@ -124,6 +130,27 @@ def build_graph(edges, features, labels=None):
         indices=_freeze(dst),
         features=_freeze(features),
         labels=_freeze(labels),
+    )
+
+
+def disjoint_union(graphs):
+    """One Graph holding the given graphs as unconnected blocks, in order.
+
+    Node i of graphs[k] becomes node (nodes of graphs[:k]) + i, so the
+    union's A and Â are the block diagonals of the parts' operators.
+    """
+    sizes = [g.num_nodes for g in graphs]
+    node_offsets = np.cumsum([0] + sizes[:-1])
+    edge_offsets = np.cumsum([0] + [g.indices.size for g in graphs[:-1]])
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64)]
+                            + [g.indptr[1:] + e for g, e in zip(graphs, edge_offsets)])
+    indices = np.concatenate([g.indices + o for g, o in zip(graphs, node_offsets)])
+    return Graph(
+        num_nodes=sum(sizes),
+        indptr=_freeze(indptr),
+        indices=_freeze(indices),
+        features=_freeze(np.vstack([g.features for g in graphs])),
+        labels=_freeze(np.concatenate([g.labels for g in graphs])),
     )
 
 

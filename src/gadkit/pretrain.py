@@ -117,13 +117,19 @@ def dgi_loss(encoder_state, graph, config, rng):
     return scale(add(loss_pos, loss_neg), 0.5)
 
 
-def graphmae_loss(encoder_state, graph, config, rng):
-    """Masked-feature reconstruction loss over the masked rows only."""
-    n = graph.num_nodes
-    m = int(np.ceil(config.mask_ratio * n))
+def draw_mask(n, ratio, rng):
+    """ceil(ratio*n) distinct node indices out of n to mask."""
+    m = int(np.ceil(ratio * n))
     if m == 0:
-        raise ValueError(f"mask ratio {config.mask_ratio} selects no nodes out of {n}")
-    mask = rng.choice(n, size=m, replace=False)
+        raise ValueError(f"mask ratio {ratio} selects no nodes out of {n}")
+    return rng.choice(n, size=m, replace=False)
+
+
+def masked_reconstruction_loss(encoder_state, graph, config, mask, weights=None):
+    """Scaled cosine error of the decoded features over the masked rows.
+
+    weights, one per masked row, pass through to scaled_cosine_error.
+    """
     x = Tensor(graph.features)
     x_masked = row_substitute(x, mask, config.mask_token)
     h = encode(encoder_state, graph, features_override=x_masked)
@@ -131,7 +137,13 @@ def graphmae_loss(encoder_state, graph, config, rng):
     x_hat = add_bias(matmul(spmm(graph.normalized_adjacency, h), config.w_dec),
                      config.b_dec)
     return scaled_cosine_error(gather_rows(x, mask), gather_rows(x_hat, mask),
-                               config.gamma)
+                               config.gamma, weights)
+
+
+def graphmae_loss(encoder_state, graph, config, rng):
+    """Masked-feature reconstruction loss over the masked rows only."""
+    mask = draw_mask(graph.num_nodes, config.mask_ratio, rng)
+    return masked_reconstruction_loss(encoder_state, graph, config, mask)
 
 
 @dataclass

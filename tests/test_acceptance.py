@@ -31,6 +31,8 @@ from gadkit.pretrain import DgiConfig, MaeConfig, dgi_loss, graphmae_loss
 from conftest import (analytic_and_numeric_grads, assert_gradients_match,
                       max_rel_err, random_graph)
 
+pytestmark = pytest.mark.acceptance
+
 GRAD_TOL = 1e-4
 ORACLE_TOL = 1e-12
 

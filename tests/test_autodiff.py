@@ -162,6 +162,15 @@ def test_elementary_kernel_gradients():
         [a, token])
     assert_gradients_match(
         lambda t1, t2: ad.sum_all(ad.concat_rows([t1, t2])), [a, a.copy()])
+    ptr = np.array([0, 1, 3])
+    assert_gradients_match(
+        lambda t: ad.sum_all(ad.activation(ad.segment_mean(t, ptr), "tanh")), [a])
+    assert_gradients_match(
+        lambda th, tv: ad.sum_all(ad.activation(ad.segment_dot(th, tv, ptr), "tanh")),
+        [a, rng.standard_normal((2, 4))])
+    assert_gradients_match(
+        lambda tx, th: scaled_cosine_error(tx, th, 2.0, weights=[0.5, 2.0, 1.5]),
+        [a, rng.standard_normal((3, 4))])
 
 
 def test_matmul_bias_matches_add_bias_bit_for_bit():
@@ -239,6 +248,98 @@ def test_sce_gradient():
     xh = rng.standard_normal((6, 5))
     assert_gradients_match(
         lambda tx, th: scaled_cosine_error(tx, th, 2.0), [x, xh])
+
+
+def _sce_before_weights(xv, rv, gamma, g):
+    """scaled_cosine_error's forward value and vjp before it took weights."""
+    m = xv.shape[0]
+    nx = np.maximum(np.linalg.norm(xv, axis=1, keepdims=True), 1e-12)
+    nr = np.maximum(np.linalg.norm(rv, axis=1, keepdims=True), 1e-12)
+    cos = (xv * rv).sum(axis=1, keepdims=True) / (nx * nr)
+    d = np.maximum(1.0 - cos, 0.0)
+    coef = -g * gamma * d ** (gamma - 1.0) / m
+    return ((d ** gamma).mean(),
+            coef * (rv / (nx * nr) - cos * xv / (nx * nx)),
+            coef * (xv / (nx * nr) - cos * rv / (nr * nr)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
+       gamma=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sce_without_weights_keeps_its_former_bits(shape, gamma, seed):
+    rng = np.random.default_rng(seed)
+    x, r = rng.standard_normal(shape), rng.standard_normal(shape)
+    tx, tr = Tensor(x, requires_grad=True), Tensor(r, requires_grad=True)
+    with Tape() as tape:
+        out = scaled_cosine_error(tx, tr, gamma)
+    gx, gr = tape._nodes[-1].vjp(np.array([[0.7]]))
+    value, ex, er = _sce_before_weights(x, r, gamma, 0.7)
+    assert out.values[0, 0].tobytes() == value.tobytes()
+    assert gx.tobytes() == ex.tobytes() and gr.tobytes() == er.tobytes()
+
+
+def test_sce_weights_average_group_means():
+    rng = np.random.default_rng(17)
+    x, r = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+    sizes = np.array([2, 5])
+    groups = [scaled_cosine_error(Tensor(x[a:b]), Tensor(r[a:b]), 2.0).item()
+              for a, b in ((0, 2), (2, 7))]
+    weights = np.repeat(7 / (2 * sizes), sizes)
+    got = scaled_cosine_error(Tensor(x), Tensor(r), 2.0, weights=weights).item()
+    assert got == pytest.approx(np.mean(groups), rel=1e-14)
+    with pytest.raises(ValueError, match="weights"):
+        scaled_cosine_error(Tensor(x), Tensor(r), 2.0, weights=np.ones(6))
+
+
+@st.composite
+def _segmented_rows(draw):
+    """(values, ptr): rows in 1-6 non-empty segments, one-row ones included."""
+    sizes = draw(st.lists(st.integers(1, 20) | st.just(1), min_size=1, max_size=6))
+    cols = draw(st.integers(1, 5))
+    values = draw(hnp.arrays(np.float64, (sum(sizes), cols),
+                             elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])))
+    return values, np.cumsum([0] + sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_segmented_rows(), seed=st.integers(0, 2 ** 32 - 1))
+def test_segment_mean_is_mean_rows_per_segment_bit_for_bit(case, seed):
+    x, ptr = case
+    h = Tensor(x, requires_grad=True)
+    g = np.random.default_rng(seed).standard_normal((ptr.size - 1, x.shape[1]))
+    with Tape() as tape:
+        out = ad.segment_mean(h, ptr)
+    (got,) = tape._nodes[-1].vjp(g)
+    expect, expect_grad = [], []
+    for k, (a, b) in enumerate(zip(ptr[:-1], ptr[1:])):
+        part = Tensor(x[a:b], requires_grad=True)
+        with Tape() as tape:
+            expect.append(ad.mean_rows(part).values)
+        expect_grad.append(tape._nodes[-1].vjp(g[k:k + 1])[0])
+    assert out.values.tobytes() == np.vstack(expect).tobytes()
+    assert got.tobytes() == np.vstack(expect_grad).tobytes()
+
+
+def test_segment_ops_reject_bad_offsets():
+    h = Tensor(np.ones((4, 2)))
+    v = Tensor(np.ones((2, 2)))
+    for ptr in ([0, 2, 2, 4], [0, 3], [1, 4], [0, 3, 2, 4], [4]):
+        with pytest.raises(ValueError, match="segment"):
+            ad.segment_mean(h, ptr)
+        with pytest.raises(ValueError, match="segment"):
+            ad.segment_dot(h, v, ptr)
+    with pytest.raises(ValueError, match="segment"):
+        ad.segment_dot(h, Tensor(np.ones((3, 2))), [0, 1, 4])
+
+
+def test_segment_dot_is_the_rowwise_bilinear_score():
+    rng = np.random.default_rng(23)
+    h, v = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
+    ptr = np.array([0, 2, 5])
+    got = ad.segment_dot(Tensor(h), Tensor(v), ptr).values
+    expect = np.concatenate([h[:2] @ v[0], h[2:] @ v[1]])[:, None]
+    assert got.shape == (5, 1) and np.allclose(got, expect, rtol=1e-14, atol=0)
 
 
 def test_backward_sum_gives_ones():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import json
 import os
 from pathlib import Path
@@ -266,3 +267,27 @@ def test_declared_search_space_covers_grid_fields():
     assert DEFAULT_SEARCH_SPACE["hidden_dim"] == [32, 64]
     assert DEFAULT_SEARCH_SPACE["num_layers"] == [1, 2, 3]
     assert len(DEFAULT_SEARCH_SPACE["epochs"]) == 10
+
+
+def test_sweeps_load_their_graph_once_with_unchanged_artifacts(tmp_path, monkeypatch):
+    loads = []
+    load = ex.load_config_graph
+
+    def counting_load(config):
+        loads.append(config)
+        return load(config)
+
+    monkeypatch.setattr(ex, "load_config_graph", counting_load)
+    config = tiny_config(trials=1, epochs=6, pretrain_epochs=4)
+    sweep_dir, ablation_dir, grid_dir = (str(tmp_path / d) for d in ("s", "a", "g"))
+    _, swept = sweep_labeled_anomalies(replace(config, out_dir=sweep_dir), [2, 4])
+    assert len(loads) == 1
+    _, ablated = ablation_shuffle_ratio(replace(config, out_dir=ablation_dir), [0.5, 1.0])
+    assert len(loads) == 2
+    grid = grid_search(replace(config, out_dir=grid_dir), {"lr": [0.01, 0.005]})
+    assert len(loads) == 3
+
+    for res in swept + ablated + [grid.experiment]:
+        alone = run_experiment(replace(res.config, out_dir=str(tmp_path / "alone")))
+        assert (Path(res.run_dir, "aggregate.json").read_bytes()
+                == Path(alone.run_dir, "aggregate.json").read_bytes())

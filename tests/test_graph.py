@@ -235,3 +235,11 @@ def test_graph_operators_are_built_once_and_read_only():
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(g.normalized_adjacency, attr), getattr(expect, attr))
     assert np.array_equal(g.adjacency.toarray(), dense_adjacency(g))
+
+
+def test_operator_index_arrays_come_in_scipys_narrow_dtype():
+    # handed to scipy as int32, the dtype it narrows int64 indices to
+    # while they fit, so it has no contents to scan and picks the same kernels
+    g = random_graph(np.random.default_rng(43), 25)
+    for mat in (normalize_adjacency(g), g.normalized_adjacency, g.adjacency):
+        assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32

@@ -1,9 +1,13 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gadkit.encoders import EncoderConfig, init_encoder
 from gadkit.graph import build_graph
 from gadkit.graphlevel import (GraphCollection, _collection_pretrain,
+                               _union_corrupt, _union_mask, _union_readouts,
                                downsample_class, graph_readout,
                                graphlevel_pipeline, load_collection,
                                save_collection, stratified_graph_split)
@@ -257,3 +261,87 @@ def test_end2end_matches_its_former_loop_bit_for_bit(kind):
     for a, b in zip(fit.encoder.params() + fit.classifier.params(),
                     enc.params() + clf.params()):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def _collection_pretrain_per_graph(collection, encoder_config, objective, epochs,
+                                   lr, seed, shuffle_ratio, mask_ratio, gamma):
+    """Collection pre-training as written before the union: one pretext loss
+    per graph per epoch, averaged."""
+    from gadkit.autodiff import add, scale, train
+    from gadkit.pretrain import init_pretext
+
+    encoder, obj, loss_fn, rng = init_pretext(encoder_config, objective, seed,
+                                              shuffle_ratio, mask_ratio, gamma)
+
+    def mean_loss():
+        per_graph = [loss_fn(encoder, g, obj, rng) for g in collection.graphs]
+        return scale(reduce(add, per_graph), 1.0 / len(per_graph))
+
+    losses, _ = train(encoder.params() + obj.params(), mean_loss, epochs, lr)
+    encoder.freeze()
+    return encoder, losses
+
+
+def mixed_collection(seed=8):
+    """Graphs of 1-9 nodes, one-node and edgeless ones included."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i in range(14):
+        n = int(rng.integers(1, 10))
+        edges = np.argwhere(np.triu(rng.random((n, n)) < 0.4, k=1))
+        graphs.append(build_graph(edges, rng.standard_normal((n, 3)) + i % 2))
+    return GraphCollection(graphs=tuple(graphs), class_ids=np.arange(14) % 2)
+
+
+@pytest.mark.parametrize("objective", ["dgi", "graphmae"])
+@pytest.mark.parametrize("kind", ["gcn", "gin"])
+def test_union_pretrain_matches_the_per_graph_loop(objective, kind):
+    coll = mixed_collection()
+    cfg = EncoderConfig(kind=kind, input_dim=3, hidden_dim=5, activation="prelu")
+    args = (objective, 12, 0.01, 4, 0.6, 0.4, 2.0)
+    old_enc, old_losses = _collection_pretrain_per_graph(coll, cfg, *args)
+    enc, losses = _collection_pretrain(coll, cfg, *args)
+    assert np.allclose(losses, old_losses, rtol=1e-12, atol=0)
+    old_readouts = np.vstack([graph_readout(old_enc, g).values for g in coll.graphs])
+    readouts = _union_readouts(enc, coll)
+    scale_ = np.abs(old_readouts).max()
+    assert np.abs(readouts - old_readouts).max() <= 1e-12 * scale_
+
+
+def test_union_draws_are_the_per_graph_draws():
+    from gadkit.pretrain import dgi_corrupt
+
+    coll = mixed_collection()
+    ptr = coll.graph_ptr
+    for ratio in (0.0, 0.3, 1.0):
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        got = _union_corrupt(coll, ratio, ours)
+        for g, a, b in zip(coll.graphs, ptr[:-1], ptr[1:]):
+            assert np.array_equal(got[a:b], dgi_corrupt(g.features, ratio, theirs))
+        assert ours.random() == theirs.random()  # same stream, same position
+    for ratio in (0.1, 0.5, 0.9):
+        ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+        mask, counts = _union_mask(coll, ratio, ours)
+        start = 0
+        for g, offset, count in zip(coll.graphs, ptr[:-1], counts):
+            n = g.num_nodes
+            # the draw graphmae_loss made per graph
+            expect = theirs.choice(n, size=int(np.ceil(ratio * n)), replace=False)
+            assert np.array_equal(mask[start:start + count], expect + offset)
+            start += count
+        assert start == mask.size and ours.random() == theirs.random()
+
+
+def test_union_operators_are_the_block_diagonals():
+    coll = mixed_collection()
+    union = coll.union
+    assert coll.union is union and union.num_nodes == coll.graph_ptr[-1]
+    assert np.array_equal(coll.graph_ptr,
+                          np.cumsum([0] + [g.num_nodes for g in coll.graphs]))
+    assert np.array_equal(union.features, np.vstack([g.features for g in coll.graphs]))
+    for name in ("adjacency", "normalized_adjacency"):
+        got = getattr(union, name)
+        expect = sp.block_diag([getattr(g, name) for g in coll.graphs], format="csr")
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(expect, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
