@@ -4,20 +4,30 @@ Trial t runs with seed base_seed + t; every artifact under the output
 directory is a pure function of (config, base seed), so reruns are
 bit-identical (wall time is kept in memory only, never persisted).
 Layout: <out>/<config-hash>/trial_<t>/{scores.csv, losses.csv,
-reachability.json, metrics.json} plus <out>/<config-hash>/aggregate.json.
+reachability.json, metrics.json} plus <out>/<config-hash>/aggregate.json;
+a trial that raised leaves only trial_<t>/error.txt, its traceback.
+
+With workers > 1, the trials of a run (and the validation trials of every
+grid point) run on that many threads; with one, in order on the calling
+thread. Either way numpy's OpenBLAS is held to one thread while the trials
+run and restored afterwards, so trial threads and BLAS threads do not
+compete for the cores, and the worker count changes no result bit.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass, field, replace
 import hashlib
 import itertools
 import json
 import os
 import time
+import traceback
 import warnings
 
 import numpy as np
 
+from ._blas import single_threaded
 from .data import (SyntheticSpec, generate_synthetic, load_dataset,
                    make_full_split, make_semi_split)
 from .detector import end2end_run, finetune_run, save_scores, score_nodes
@@ -87,6 +97,8 @@ class ExperimentConfig:
             raise ValueError(f"paradigm must be one of {PARADIGMS}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def resolved_activation(self):
         if self.activation is not None:
@@ -295,6 +307,9 @@ def _atomic_write(path, text):
 
 def _write_trial(trial_dir, graph, result):
     os.makedirs(trial_dir, exist_ok=True)
+    # a rerun that succeeds must not keep the error of an earlier attempt
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(trial_dir, "error.txt"))
     # write-then-rename so readers never observe partial files
     scores_path = os.path.join(trial_dir, "scores.csv")
     save_scores(result.scores, graph.labels, scores_path + ".tmp")
@@ -307,6 +322,12 @@ def _write_trial(trial_dir, graph, result):
                       result.reachability.to_json())
     _atomic_write(os.path.join(trial_dir, "metrics.json"),
                   json.dumps(result.metrics_dict(), sort_keys=True))
+
+
+def _write_error(trial_dir, exc):
+    os.makedirs(trial_dir, exist_ok=True)
+    _atomic_write(os.path.join(trial_dir, "error.txt"),
+                  "".join(traceback.format_exception(exc)))
 
 
 @dataclass
@@ -331,32 +352,37 @@ def run_experiment(config):
     return _run_on_graph(load_config_graph(config), config)
 
 
+def _map_trials(fn, items, workers):
+    """[(index, fn(item), None) or (index, None, exception)], in item order.
+
+    The items run inline with one worker, else on a pool of that many
+    threads. BLAS is held to one thread either way: with more, OpenBLAS
+    splits the long inner dimension of the weight-gradient products over
+    its threads, which changes their last bits, so trials would depend on
+    the worker count (and on the machine's cores).
+    """
+    def attempt(index, item):
+        try:
+            return index, fn(item), None
+        except Exception as exc:  # noqa: BLE001 - reported per item
+            return index, None, exc
+
+    with single_threaded():
+        if workers == 1:
+            return [attempt(i, item) for i, item in enumerate(items)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(attempt, range(len(items)), items))
+
+
 def _run_on_graph(graph, config):
     """run_experiment on config's graph, already loaded by the caller."""
     # build the graph's operators on this thread: the trials only read them
     _ = graph.adjacency, graph.normalized_adjacency
-
-    def one(t):
-        return run_trial(graph, config, config.base_seed + t)
+    outcomes = _map_trials(
+        lambda t: run_trial(graph, config, config.base_seed + t),
+        range(config.trials), config.workers)
 
     results, failures = [], []
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(one, t) for t in range(config.trials)]
-            outcomes = []
-            for t, fut in enumerate(futures):
-                try:
-                    outcomes.append((t, fut.result(), None))
-                except Exception as exc:  # noqa: BLE001 - reported per trial
-                    outcomes.append((t, None, exc))
-    else:
-        outcomes = []
-        for t in range(config.trials):
-            try:
-                outcomes.append((t, one(t), None))
-            except Exception as exc:  # noqa: BLE001 - reported per trial
-                outcomes.append((t, None, exc))
-
     for t, res, exc in outcomes:
         if exc is not None:
             failures.append({"trial": t, "error": f"{type(exc).__name__}: {exc}"})
@@ -383,8 +409,11 @@ def _run_on_graph(graph, config):
         run_dir = os.path.join(config.out_dir, config.config_hash())
         os.makedirs(run_dir, exist_ok=True)
         for t, res, exc in outcomes:
+            trial_dir = os.path.join(run_dir, f"trial_{t}")
             if exc is None:
-                _write_trial(os.path.join(run_dir, f"trial_{t}"), graph, res)
+                _write_trial(trial_dir, graph, res)
+            else:
+                _write_error(trial_dir, exc)
         _atomic_write(os.path.join(run_dir, "aggregate.json"),
                       json.dumps(aggregate, sort_keys=True, indent=1))
 
@@ -425,11 +454,20 @@ def grid_search(config, grid):
     combos = list(itertools.product(*(grid[k] for k in keys)))
 
     graph = load_config_graph(config)
+    # operators built here, as in _run_on_graph, so the pool only reads them
+    _ = graph.adjacency, graph.normalized_adjacency
+    configs = [replace(config, **dict(zip(keys, combo))) for combo in combos]
+    # every combo runs config.trials trials; flattened so they share one pool
+    outcomes = _map_trials(lambda job: _validation_only(graph, *job),
+                           [(cfg, cfg.base_seed + t) for cfg in configs
+                            for t in range(config.trials)], config.workers)
+    for _, _, exc in outcomes:
+        if exc is not None:
+            raise exc
     rows = []
-    for index, combo in enumerate(combos):
-        cfg = replace(config, **dict(zip(keys, combo)))
-        vals = [_validation_only(graph, cfg, cfg.base_seed + t)
-                for t in range(cfg.trials)]
+    for index, (combo, cfg) in enumerate(zip(combos, configs)):
+        start = index * config.trials
+        vals = [res for _, res, _ in outcomes[start:start + config.trials]]
         row = dict(zip(keys, combo))
         row["index"] = index
         row["val_auprc"] = float(np.mean([v[0] for v in vals]))

@@ -1,7 +1,9 @@
 """Shared test helpers: random graphs and the finite-difference oracle."""
 
 import numpy as np
+import pytest
 
+from gadkit import _blas
 from gadkit.autodiff import Tape, Tensor, backward
 from gadkit.graph import build_graph
 
@@ -67,3 +69,20 @@ def assert_gradients_match(make_loss, arrays, tol=1e-4, step=1e-5):
     analytic, numeric = analytic_and_numeric_grads(make_loss, arrays, step=step)
     err = max_rel_err(analytic, numeric)
     assert err < tol, f"gradient mismatch: max relative error {err:.3e}"
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS set to 2 threads for the test, restored after it.
+
+    Two, not the machine's default, so that holding BLAS to one thread
+    shows even on a one-core machine.
+    """
+    before = _blas.threads()
+    if before is None:
+        pytest.skip("no OpenBLAS thread get/set functions found in "
+                    f"numpy's bundled library ({_blas.library_pattern()})")
+    _blas.set_threads(2)
+    assert _blas.threads() == 2
+    yield 2
+    _blas.set_threads(before)

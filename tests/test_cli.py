@@ -22,6 +22,11 @@ def test_run_subcommand(tmp_path, capsys):
     assert any(p.name == "aggregate.json" for p in tmp_path.rglob("*"))
 
 
+def test_run_rejects_zero_workers(tmp_path):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        main(synthetic_args(str(tmp_path), ["--workers", "0"]))
+
+
 def test_run_requires_dataset(tmp_path):
     with pytest.raises(SystemExit):
         main(["run", "--out", str(tmp_path)])

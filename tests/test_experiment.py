@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from gadkit import _blas
 import gadkit.experiment as ex
 import gadkit.graph
 from gadkit.data import SyntheticSpec
@@ -105,7 +106,7 @@ def test_trial_seeds_follow_base_seed():
     assert [t.seed for t in result.trials] == [7, 8]
 
 
-def test_failures_recorded_not_raised(monkeypatch):
+def test_failures_recorded_not_raised(monkeypatch, tmp_path):
     real = ex.run_trial
 
     def flaky(graph, config, seed):
@@ -115,11 +116,31 @@ def test_failures_recorded_not_raised(monkeypatch):
 
     monkeypatch.setattr(ex, "run_trial", flaky)
     with pytest.warns(UserWarning, match="1 of 2 trials failed"):
-        result = run_experiment(tiny_config(trials=2))
+        result = run_experiment(tiny_config(trials=2, out_dir=str(tmp_path)))
     assert not result.ok
     assert result.aggregate["n_completed"] == 1
     assert result.failures[0]["trial"] == 1
     assert "synthetic failure" in result.failures[0]["error"]
+    # the aggregate keeps one line per failure; the trial keeps the traceback
+    assert result.failures == [{"trial": 1,
+                                "error": "RuntimeError: synthetic failure"}]
+    error = Path(result.run_dir, "trial_1", "error.txt").read_text()
+    assert error.startswith("Traceback (most recent call last):")
+    assert "in flaky" in error
+    assert error.rstrip().endswith("RuntimeError: synthetic failure")
+    assert sorted(os.listdir(Path(result.run_dir, "trial_1"))) == ["error.txt"]
+    assert not Path(result.run_dir, "trial_0", "error.txt").exists()
+
+    monkeypatch.setattr(ex, "run_trial", real)
+    rerun = run_experiment(tiny_config(trials=2, out_dir=str(tmp_path)))
+    assert rerun.ok and rerun.run_dir == result.run_dir
+    assert not Path(result.run_dir, "trial_1", "error.txt").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        tiny_config(workers=workers)
 
 
 def test_workers_produce_same_aggregate(tmp_path):
@@ -155,6 +176,85 @@ def test_workers_share_operators_built_once_on_the_calling_thread(monkeypatch):
     main = threading.get_ident()
     # one CSR for A, and one for Â inside its one normalize_adjacency call
     assert sorted(built) == [("csr", main), ("csr", main), ("normalize", main)]
+
+
+@pytest.mark.parametrize("call, workers", [
+    (run_experiment, 2),
+    (run_experiment, 1),
+    (lambda cfg: ablation_shuffle_ratio(cfg, [0.5]), 2),
+    (lambda cfg: sweep_labeled_anomalies(cfg, [2]), 2)],
+    ids=["run", "run-serial", "ablation", "sweep"])
+def test_trials_hold_blas_to_one_thread_and_restore_it_after_a_failure(
+        blas_threads, monkeypatch, call, workers):
+    real = ex.run_trial
+    seen = {}
+
+    def recording(graph, config, seed):
+        seen[seed] = _blas.threads()
+        if seed == 1:
+            raise RuntimeError("synthetic failure")
+        return real(graph, config, seed)
+
+    monkeypatch.setattr(ex, "run_trial", recording)
+    with pytest.warns(UserWarning, match="1 of 2 trials failed"):
+        call(tiny_config(trials=2, workers=workers, epochs=6, pretrain_epochs=4))
+    assert seen == {0: 1, 1: 1}
+    assert _blas.threads() == blas_threads
+
+
+def test_trial_scores_identical_between_one_and_two_workers(tmp_path):
+    # 2000 nodes × 32 hidden units: large enough that OpenBLAS, given two
+    # threads, splits the weight-gradient products and changes their bits
+    config = tiny_config(dataset=SyntheticSpec(seed=11), hidden_dim=32,
+                         epochs=5, pretrain_epochs=5, trials=2)
+    serial = run_experiment(replace(config, out_dir=str(tmp_path / "s")))
+    pooled = run_experiment(replace(config, workers=2, out_dir=str(tmp_path / "p")))
+    for t in range(2):
+        name = Path(f"trial_{t}", "scores.csv")
+        assert (Path(serial.run_dir, name).read_bytes()
+                == Path(pooled.run_dir, name).read_bytes())
+
+
+def test_grid_runs_its_trials_on_the_pool_with_the_same_rows(
+        tmp_path, monkeypatch, blas_threads):
+    real = ex._validation_only
+    seen = []
+
+    def recording(graph, config, seed):
+        on_main = threading.current_thread() is threading.main_thread()
+        seen.append((_blas.threads(), on_main))
+        return real(graph, config, seed)
+
+    monkeypatch.setattr(ex, "_validation_only", recording)
+    config = tiny_config(trials=2, epochs=6, pretrain_epochs=4)
+    grid = {"lr": [0.01, 0.005], "num_layers": [1, 2]}
+    serial = grid_search(replace(config, out_dir=str(tmp_path / "s")), grid)
+    assert seen == [(1, True)] * 8
+    seen.clear()
+    pooled = grid_search(replace(config, workers=2, out_dir=str(tmp_path / "p")), grid)
+    assert seen == [(1, False)] * 8
+    assert _blas.threads() == blas_threads
+    assert serial.rows == pooled.rows
+    assert [row["index"] for row in pooled.rows] == [0, 1, 2, 3]
+    for name in ("grid.csv", "selection_trace.json"):
+        assert (Path(tmp_path, "s", name).read_bytes()
+                == Path(tmp_path, "p", name).read_bytes())
+
+
+def test_grid_failure_raises_and_restores_blas_threads(monkeypatch, blas_threads):
+    seen = []
+
+    def failing(graph, config, seed):
+        seen.append(_blas.threads())
+        if config.lr == 0.005:
+            raise RuntimeError("synthetic failure")
+        return 0.5, 0.5
+
+    monkeypatch.setattr(ex, "_validation_only", failing)
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        grid_search(tiny_config(trials=2, workers=2), {"lr": [0.01, 0.005]})
+    assert seen == [1] * 4
+    assert _blas.threads() == blas_threads
 
 
 def test_end2end_paradigm_runs():
