@@ -14,8 +14,8 @@ outputs, and no kernel consumes randomness.
 `train` is the one optimization loop: full-batch Adam over a loss closure,
 with an optional best-validation checkpoint, e.g.
 
-    losses, best = train(params, lambda: bce_with_logits(logits(), y), 200,
-                         0.005, validate=lambda: auprc(scores(), y_val))
+    losses, best = train(params, lambda: bce_with_logits(logits(), y), EPOCHS,
+                         LR, validate=lambda: auprc(scores(), y_val))
 """
 
 import threading
@@ -440,12 +440,11 @@ class Adam:
     explicit zero_grad(), never implicitly.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
@@ -456,7 +455,7 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -467,10 +466,11 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** t)
             v_hat = self.v[i] / (1.0 - b2 ** t)
-            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 VAL_CHECK_EVERY = 10
+EPOCHS, LR = 200, 0.005  # every paradigm's default Adam steps and step size
 
 
 def train(params, loss_fn, epochs, lr, validate=None):

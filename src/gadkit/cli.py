@@ -41,78 +41,72 @@ def config_from_dict(d):
     return ExperimentConfig(dataset=dataset, split=split, **d)
 
 
+# Each flag stores under the name of the field it sets, None when not given,
+# and only given flags reach the dataclass. Synthetic flag -> field:
+SYNTHETIC_FLAGS = {
+    "--nodes": "num_nodes", "--blocks": "num_blocks", "--intra-p": "intra_p",
+    "--inter-p": "inter_p", "--anomaly-fraction": "anomaly_fraction",
+    "--feature-dim": "feature_dim", "--feature-shift": "feature_shift",
+    "--feature-noise": "feature_noise", "--block-gap": "block_feature_gap",
+    "--structural-fraction": "structural_fraction",
+    "--clique-size": "clique_size", "--no-contextual": "contextual",
+    "--no-structural": "structural", "--data-seed": "seed"}
+
+
 def _add_dataset_flags(p):
     p.add_argument("--edges", help="edge list file (u v per line)")
     p.add_argument("--features", help="feature CSV, one row per node")
     p.add_argument("--labels", help="label file (0/1/? per line)")
     p.add_argument("--synthetic", action="store_true",
                    help="generate the synthetic benchmark instead of loading files")
-    p.add_argument("--nodes", type=int, default=2000)
-    p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--intra-p", type=float, default=0.007)
-    p.add_argument("--inter-p", type=float, default=0.0003)
-    p.add_argument("--anomaly-fraction", type=float, default=0.05)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--feature-shift", type=float, default=1.5)
-    p.add_argument("--feature-noise", type=float, default=0.5)
-    p.add_argument("--block-gap", type=float, default=0.0,
-                   help="spacing of block feature profiles")
-    p.add_argument("--structural-fraction", type=float, default=0.8)
-    p.add_argument("--clique-size", type=int, default=8)
-    p.add_argument("--no-contextual", action="store_true")
-    p.add_argument("--no-structural", action="store_true")
-    p.add_argument("--data-seed", type=int, default=0)
+    types = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
+    for flag, field in SYNTHETIC_FLAGS.items():
+        if types[field] is bool:
+            p.add_argument(flag, dest=field, action="store_false", default=None)
+        else:
+            p.add_argument(flag, dest=field, type=types[field])
 
 
 def _add_model_flags(p):
-    """Encoder and training flags; each defaults to None, meaning not given."""
-    p.add_argument("--backbone", choices=ENCODER_KINDS)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
+    """Encoder and training flags, stored under ExperimentConfig's names."""
+    p.add_argument("--backbone", dest="encoder_kind", choices=ENCODER_KINDS)
+    p.add_argument("--hidden", dest="hidden_dim", type=int)
+    p.add_argument("--layers", dest="num_layers", type=int)
     p.add_argument("--activation", choices=ACTIVATIONS)
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--pretrain-epochs", type=int)
     p.add_argument("--shuffle-ratio", type=float)
     p.add_argument("--mask-ratio", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", dest="sce_gamma", type=float)
 
 
-def _given(args, fields):
-    """{field: value} for each (flag, field) pair whose flag was given."""
-    return {field: getattr(args, flag) for flag, field in fields
-            if getattr(args, flag) is not None}
+def _given(args, names):
+    """{name: value} for each flag stored under one of names that was given;
+    names may be a dataclass, for all its fields."""
+    if dataclasses.is_dataclass(names):
+        names = [f.name for f in dataclasses.fields(names)]
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
 def _add_experiment_flags(p):
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--paradigm", choices=PARADIGMS)
     _add_model_flags(p)
-    p.add_argument("--split-regime", choices=("semi", "full"))
+    p.add_argument("--split-regime", dest="regime", choices=("semi", "full"))
     p.add_argument("--n-anom", type=int)
     p.add_argument("--n-norm", type=int)
     p.add_argument("--train-ratio", type=float)
     p.add_argument("--k-hops", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory (default: runs)")
+    p.add_argument("--seed", dest="base_seed", type=int)
+    p.add_argument("--out", dest="out_dir", help="output directory (default: runs)")
 
 
 def _dataset_from_args(args):
     if args.synthetic:
-        return SyntheticSpec(num_nodes=args.nodes, num_blocks=args.blocks,
-                             intra_p=args.intra_p, inter_p=args.inter_p,
-                             anomaly_fraction=args.anomaly_fraction,
-                             feature_dim=args.feature_dim,
-                             feature_shift=args.feature_shift,
-                             feature_noise=args.feature_noise,
-                             block_feature_gap=args.block_gap,
-                             clique_size=args.clique_size,
-                             structural_fraction=args.structural_fraction,
-                             contextual=not args.no_contextual,
-                             structural=not args.no_structural,
-                             seed=args.data_seed)
+        return SyntheticSpec(**_given(args, SyntheticSpec))
     if not (args.edges and args.features):
         raise SystemExit("either --synthetic or --edges/--features is required")
     return DatasetPaths(edges=args.edges, features=args.features,
@@ -127,23 +121,8 @@ def _config_from_args(args):
         base = ExperimentConfig(dataset=_dataset_from_args(args), out_dir="runs")
     if args.synthetic or args.edges:
         base = dataclasses.replace(base, dataset=_dataset_from_args(args))
-
-    updates = _given(args, (("paradigm", "paradigm"), ("backbone", "encoder_kind"),
-                            ("hidden", "hidden_dim"), ("layers", "num_layers"),
-                            ("activation", "activation"), ("lr", "lr"),
-                            ("epochs", "epochs"),
-                            ("pretrain_epochs", "pretrain_epochs"),
-                            ("shuffle_ratio", "shuffle_ratio"),
-                            ("mask_ratio", "mask_ratio"), ("gamma", "sce_gamma"),
-                            ("k_hops", "k_hops"), ("workers", "workers"),
-                            ("trials", "trials"), ("seed", "base_seed"),
-                            ("out", "out_dir")))
-    split = base.split
-    if args.split_regime:
-        split = dataclasses.replace(split, regime=args.split_regime)
-    split = dataclasses.replace(split, **_given(args, (
-        ("n_anom", "n_anom"), ("n_norm", "n_norm"), ("train_ratio", "train_ratio"))))
-    return dataclasses.replace(base, split=split, **updates)
+    split = dataclasses.replace(base.split, **_given(args, SplitRegime))
+    return dataclasses.replace(base, split=split, **_given(args, ExperimentConfig))
 
 
 def _print_aggregate(result):
@@ -225,21 +204,19 @@ def cmd_gen_synthetic(args):
 
 def cmd_graph_level(args):
     collection = load_collection(args.manifest)
-    collection = downsample_class(collection, args.downsample_class,
-                                  keep_fraction=args.keep_fraction,
-                                  seed=args.seed)
-    # only the given flags are passed, so the defaults of EncoderConfig and
-    # graphlevel_pipeline apply to the rest
-    enc_fields = {"kind": "gcn", "activation": default_activation(args.mode)}
-    enc_fields.update(_given(args, (("backbone", "kind"), ("hidden", "hidden_dim"),
-                                    ("layers", "num_layers"),
-                                    ("activation", "activation"))))
-    enc = EncoderConfig(input_dim=collection.feature_dim, **enc_fields)
-    result = graphlevel_pipeline(
-        collection, args.mode, enc, seed=args.seed,
-        **_given(args, [(flag, flag) for flag in (
-            "train_ratio", "epochs", "lr", "pretrain_epochs", "shuffle_ratio",
-            "mask_ratio", "gamma")]))
+    # only the given flags are passed, so the defaults of downsample_class,
+    # EncoderConfig and graphlevel_pipeline apply to the rest
+    collection = downsample_class(collection, args.downsample_class, seed=args.seed,
+                                  **_given(args, ["keep_fraction"]))
+    enc = EncoderConfig(input_dim=collection.feature_dim,
+                        kind=args.encoder_kind or ExperimentConfig.encoder_kind,
+                        activation=args.activation or default_activation(args.mode),
+                        **_given(args, ["hidden_dim", "num_layers"]))
+    options = _given(args, ["train_ratio", "epochs", "lr", "pretrain_epochs",
+                            "shuffle_ratio", "mask_ratio"])
+    if args.sce_gamma is not None:
+        options["gamma"] = args.sce_gamma
+    result = graphlevel_pipeline(collection, args.mode, enc, seed=args.seed, **options)
     print(json.dumps({"auroc": result.auroc, "auprc": result.auprc,
                       "val_auprc": result.val_auprc}, sort_keys=True, indent=1))
     return 0
@@ -286,9 +263,9 @@ def build_parser():
 
     p = sub.add_parser("graph-level", help="graph-level detection pipeline")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=PARADIGMS, default="dgi")
+    p.add_argument("--mode", choices=PARADIGMS, default=ExperimentConfig.paradigm)
     p.add_argument("--downsample-class", type=int, required=True)
-    p.add_argument("--keep-fraction", type=float, default=0.10)
+    p.add_argument("--keep-fraction", type=float)
     p.add_argument("--train-ratio", type=float)
     _add_model_flags(p)
     p.add_argument("--seed", type=int, default=0)

@@ -60,11 +60,16 @@ def _labeled_pools(graph):
     return anomalies, normals
 
 
-def make_semi_split(graph, n_anom=20, n_norm=80, seed=0, val_anom=20, val_norm=80):
+# default labeled anomalies and normals in each of a semi split's two pools
+SEMI_ANOMALIES, SEMI_NORMALS = 20, 80
+
+
+def make_semi_split(graph, n_anom=SEMI_ANOMALIES, n_norm=SEMI_NORMALS, seed=0,
+                    val_anom=SEMI_ANOMALIES, val_norm=SEMI_NORMALS):
     """Limited-supervision split: n_anom/n_norm labeled training nodes.
 
-    Validation is an additional disjoint 20/80 sample (sizes overridable);
-    test is every remaining node with a known label.
+    Validation is an additional disjoint val_anom/val_norm sample; test is
+    every remaining node with a known label.
     """
     anomalies, normals = _labeled_pools(graph)
     if anomalies.size < n_anom + val_anom or normals.size < n_norm + val_norm:

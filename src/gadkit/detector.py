@@ -12,24 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, activation, bce_with_logits, gather_rows,
-                       matmul, stable_sigmoid, train)
+from .autodiff import (EPOCHS, LR, Tensor, activation, bce_with_logits,
+                       gather_rows, matmul, stable_sigmoid, train)
 from .encoders import encode, glorot, init_encoder
 from .graph import LABEL_UNKNOWN
 from .metrics import auprc
 
 
 class ClassifierState:
-    """2-layer perceptron, hidden width = input width, single logit output.
+    """2-layer ReLU perceptron, hidden width = input width, single logit output.
 
     When trained on frozen embeddings the state also carries the per-column
     standardization (mean, std) of the embedding matrix, applied to every
     input; joint training leaves it unset.
     """
 
-    def __init__(self, w1, b1, w2, b2, activation_kind="relu"):
+    def __init__(self, w1, b1, w2, b2):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.activation = activation_kind
         self.input_mean = None
         self.input_std = None
 
@@ -46,14 +45,13 @@ class ClassifierState:
         return (values - self.input_mean) / self.input_std
 
 
-def init_classifier(input_dim, seed, activation_kind="relu"):
+def init_classifier(input_dim, seed):
     rng = np.random.default_rng(seed)
     return ClassifierState(
         w1=Tensor(glorot(rng, input_dim, input_dim), requires_grad=True),
         b1=Tensor(np.zeros((1, input_dim)), requires_grad=True),
         w2=Tensor(glorot(rng, input_dim, 1), requires_grad=True),
         b2=Tensor(np.zeros((1, 1)), requires_grad=True),
-        activation_kind=activation_kind,
     )
 
 
@@ -65,7 +63,7 @@ def classifier_logits(h, clf):
     """
     if not isinstance(h, Tensor):
         h = Tensor(clf.standardize(np.asarray(h, dtype=np.float64)))
-    z = activation(matmul(h, clf.w1, bias=clf.b1), clf.activation)
+    z = activation(matmul(h, clf.w1, bias=clf.b1), "relu")
     return matmul(z, clf.w2, bias=clf.b2)
 
 
@@ -129,7 +127,7 @@ def _fit(clf, params, train_rows, val_rows, train_y, val_idx, val_y, epochs, lr,
 
 
 def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
-                   epochs, lr, seed, activation_kind="relu", standardize=True):
+                   epochs, lr, seed, standardize=True):
     """Train the MLP on fixed embedding rows; keep the best-validation state.
 
     With standardize=True the embedding columns are z-scored using statistics
@@ -139,7 +137,6 @@ def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     clf = init_classifier(embeddings.shape[1], seed)
-    clf.activation = activation_kind
     if standardize:
         clf.set_standardization(embeddings)
     # pre-standardized training block; raw rows elsewhere go through the
@@ -174,7 +171,7 @@ def _split_xy(graph, split):
             val_idx, (graph.labels[val_idx] == 1).astype(np.float64))
 
 
-def finetune_run(encoder, graph, split, epochs=200, lr=0.005, seed=0):
+def finetune_run(encoder, graph, split, epochs=EPOCHS, lr=LR, seed=0):
     """Train only the classifier on frozen-encoder embeddings.
 
     Embeddings are computed once and cached; encoder gradients are never
@@ -188,7 +185,7 @@ def finetune_run(encoder, graph, split, epochs=200, lr=0.005, seed=0):
     return fit_classifier(embeddings, *_split_xy(graph, split), epochs, lr, seed)
 
 
-def end2end_run(encoder_config, graph, split, epochs=200, lr=0.005, seed=0):
+def end2end_run(encoder_config, graph, split, epochs=EPOCHS, lr=LR, seed=0):
     """Jointly train encoder and classifier on the labeled training nodes."""
     if split.train_anomalies.size == 0:
         raise ValueError("no labeled anomalies in the training split")

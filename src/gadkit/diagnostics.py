@@ -16,6 +16,7 @@ from .graph import UNREACHABLE, multi_source_bfs_hops
 
 DENSITY_THRESHOLD = 0.01
 OVERSPARSE_DEGREE = 2.0
+K_MAX = 3  # R_1..R_3 unless asked otherwise
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ class ReachabilityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def k_hop_reachable_ratio(graph, labeled_anomalies, unlabeled_anomalies, k_max=3):
+def k_hop_reachable_ratio(graph, labeled_anomalies, unlabeled_anomalies,
+                          k_max=K_MAX):
     """ReachabilityReport for R_1..R_{k_max} via one multi-source BFS."""
     labeled = np.asarray(labeled_anomalies, dtype=np.int64)
     unlabeled = np.asarray(unlabeled_anomalies, dtype=np.int64)

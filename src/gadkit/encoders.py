@@ -6,7 +6,7 @@ adjacency and a 2-layer perceptron per layer.
 The configured activation is applied after every layer, including the last.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 import json
 import struct
 
@@ -118,16 +118,9 @@ _MAGIC = b"GADENC1\n"
 
 
 def save_encoder(state, path):
-    """JSON header + flat little-endian float64 weights in declaration order."""
-    header = {
-        "kind": state.config.kind,
-        "input_dim": state.config.input_dim,
-        "hidden_dim": state.config.hidden_dim,
-        "num_layers": state.config.num_layers,
-        "activation": state.config.activation,
-        "seed": state.seed,
-        "frozen": state.frozen,
-    }
+    """JSON header (EncoderConfig's fields, seed, frozen) + flat little-endian
+    float64 weights in declaration order."""
+    header = {**asdict(state.config), "seed": state.seed, "frozen": state.frozen}
     flat = np.concatenate([p.values.ravel() for p in state.params()])
     blob = flat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
@@ -145,10 +138,7 @@ def load_encoder(path):
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen))
         blob = fh.read()
-    config = EncoderConfig(kind=header["kind"], input_dim=header["input_dim"],
-                           hidden_dim=header["hidden_dim"],
-                           num_layers=header["num_layers"],
-                           activation=header["activation"])
+    config = EncoderConfig(**{f.name: header[f.name] for f in fields(EncoderConfig)})
     state = init_encoder(config, header["seed"])
     flat = np.frombuffer(blob, dtype="<f8")
     expect = sum(p.values.size for p in state.params())

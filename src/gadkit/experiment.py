@@ -16,7 +16,7 @@ compete for the cores, and the worker count changes no result bit.
 
 from concurrent.futures import ThreadPoolExecutor
 import contextlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 import hashlib
 import itertools
 import json
@@ -28,14 +28,17 @@ import warnings
 import numpy as np
 
 from ._blas import single_threaded
-from .data import (SyntheticSpec, generate_synthetic, load_dataset,
-                   make_full_split, make_semi_split)
+from .autodiff import EPOCHS, LR
+from .data import (SEMI_ANOMALIES, SEMI_NORMALS, SyntheticSpec,
+                   generate_synthetic, load_dataset, make_full_split,
+                   make_semi_split)
 from .detector import end2end_run, finetune_run, save_scores, score_nodes
-from .diagnostics import k_hop_reachable_ratio
+from .diagnostics import K_MAX, k_hop_reachable_ratio
 from .encoders import EncoderConfig
 from .graph import UNREACHABLE
 from .metrics import auprc, auroc, hop_avg_rank, normalized_ranks
-from .pretrain import pretrain_run, save_loss_curve
+from .pretrain import (MASK_RATIO, SCE_GAMMA, SHUFFLE_RATIO, pretrain_run,
+                       save_loss_curve)
 
 PARADIGMS = ("dgi", "graphmae", "end2end")
 
@@ -62,8 +65,8 @@ def default_activation(paradigm):
 @dataclass(frozen=True)
 class SplitRegime:
     regime: str = "semi"  # "semi" | "full"
-    n_anom: int = 20
-    n_norm: int = 80
+    n_anom: int = SEMI_ANOMALIES
+    n_norm: int = SEMI_NORMALS
     train_ratio: float = 0.4
 
     def __post_init__(self):
@@ -76,19 +79,19 @@ class ExperimentConfig:
     dataset: object  # SyntheticSpec or DatasetPaths
     paradigm: str = "dgi"
     encoder_kind: str = "gcn"
-    hidden_dim: int = 32
-    num_layers: int = 2
+    hidden_dim: int = EncoderConfig.hidden_dim
+    num_layers: int = EncoderConfig.num_layers
     activation: str | None = None  # None resolves to prelu for DGI, else relu
-    lr: float = 0.005
-    epochs: int = 200
-    pretrain_epochs: int = 200
-    shuffle_ratio: float = 1.0
-    mask_ratio: float = 0.5
-    sce_gamma: float = 2.0
+    lr: float = LR
+    epochs: int = EPOCHS
+    pretrain_epochs: int = EPOCHS
+    shuffle_ratio: float = SHUFFLE_RATIO
+    mask_ratio: float = MASK_RATIO
+    sce_gamma: float = SCE_GAMMA
     split: SplitRegime = field(default_factory=SplitRegime)
     trials: int = 10
     base_seed: int = 0
-    k_hops: int = 3
+    k_hops: int = K_MAX
     out_dir: str | None = None
     workers: int = 1
 
@@ -106,52 +109,21 @@ class ExperimentConfig:
         return default_activation(self.paradigm)
 
     def canonical(self):
-        """Plain dict capturing everything that affects results.
-
-        out_dir and workers are execution details and excluded, so the
-        config hash is stable across machines and output locations.
-        """
+        """Plain dict of every field but out_dir and workers, execution
+        details left out so the hash is stable across machines and output
+        locations; the activation and a synthetic spec's blocks (block_sizes
+        for num_blocks) are resolved, the dataset is keyed by its kind."""
+        out = asdict(self)
+        del out["out_dir"], out["workers"]
+        out["activation"] = self.resolved_activation()
+        ds = out["dataset"]
         if isinstance(self.dataset, SyntheticSpec):
-            ds = {"synthetic": {
-                "num_nodes": self.dataset.num_nodes,
-                "block_sizes": list(self.dataset.resolved_blocks()),
-                "intra_p": self.dataset.intra_p,
-                "inter_p": self.dataset.inter_p,
-                "anomaly_fraction": self.dataset.anomaly_fraction,
-                "feature_dim": self.dataset.feature_dim,
-                "feature_noise": self.dataset.feature_noise,
-                "feature_shift": self.dataset.feature_shift,
-                "block_feature_gap": self.dataset.block_feature_gap,
-                "clique_size": self.dataset.clique_size,
-                "structural_fraction": self.dataset.structural_fraction,
-                "contextual": self.dataset.contextual,
-                "structural": self.dataset.structural,
-                "seed": self.dataset.seed,
-            }}
+            del ds["num_blocks"]
+            ds["block_sizes"] = list(self.dataset.resolved_blocks())
+            out["dataset"] = {"synthetic": ds}
         else:
-            ds = {"paths": {"edges": self.dataset.edges,
-                            "features": self.dataset.features,
-                            "labels": self.dataset.labels}}
-        return {
-            "dataset": ds,
-            "paradigm": self.paradigm,
-            "encoder_kind": self.encoder_kind,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "activation": self.resolved_activation(),
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "pretrain_epochs": self.pretrain_epochs,
-            "shuffle_ratio": self.shuffle_ratio,
-            "mask_ratio": self.mask_ratio,
-            "sce_gamma": self.sce_gamma,
-            "split": {"regime": self.split.regime, "n_anom": self.split.n_anom,
-                      "n_norm": self.split.n_norm,
-                      "train_ratio": self.split.train_ratio},
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "k_hops": self.k_hops,
-        }
+            out["dataset"] = {"paths": ds}
+        return out
 
     def config_hash(self):
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
@@ -172,17 +144,12 @@ def _make_split(graph, config, seed):
     return make_full_split(graph, config.split.train_ratio, seed=seed)
 
 
-def _encoder_config(graph, config):
-    return EncoderConfig(kind=config.encoder_kind,
-                         input_dim=graph.features.shape[1],
-                         hidden_dim=config.hidden_dim,
-                         num_layers=config.num_layers,
-                         activation=config.resolved_activation())
-
-
 def _train_models(graph, config, split, seed):
     """Returns (encoder, classifier, losses, val_auprc, val_scores)."""
-    enc_config = _encoder_config(graph, config)
+    enc_config = EncoderConfig(
+        kind=config.encoder_kind, input_dim=graph.features.shape[1],
+        hidden_dim=config.hidden_dim, num_layers=config.num_layers,
+        activation=config.resolved_activation())
     if config.paradigm == "end2end":
         r = end2end_run(enc_config, graph, split, epochs=config.epochs,
                         lr=config.lr, seed=seed)
@@ -213,15 +180,8 @@ class TrialResult:
 
     def metrics_dict(self):
         """Deterministic summary (wall time deliberately excluded)."""
-        out = {
-            "seed": self.seed,
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "val_auroc": self.val_auroc,
-            "val_auprc": self.val_auprc,
-            "hop_ranks": self.hop_ranks,
-            "config_hash": self.config_hash,
-        }
+        out = {k: getattr(self, k) for k in ("seed", "auroc", "auprc", "val_auroc",
+                                             "val_auprc", "hop_ranks", "config_hash")}
         if self.far_rank is not None:
             out["far_rank"] = self.far_rank
         if self.reachability is not None:
@@ -299,17 +259,40 @@ def aggregate_trials(results):
 
 
 def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with open(path + ".tmp", "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    os.replace(path + ".tmp", path)
 
 
-def _write_trial(trial_dir, graph, result):
+def _write_csv(config, csv_path, name, header, rows):
+    """rows under header, to csv_path, else to out_dir/name when out_dir is
+    set, else nowhere; a float cell is its repr, any other cell its str."""
+    if csv_path is None and config.out_dir:
+        csv_path = os.path.join(config.out_dir, name)
+    if csv_path:
+        lines = [",".join(header)]
+        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                  for row in rows]
+        _atomic_write(csv_path, "\n".join(lines) + "\n")
+
+
+_RESULT_FILES = ("scores.csv", "losses.csv", "reachability.json", "metrics.json")
+
+
+def _write_outcome(trial_dir, graph, result, exc):
+    """The trial's result files, or error.txt alone when it raised (exc).
+
+    The other set goes first, so a rerun never leaves an earlier success's
+    results beside a new error, nor an earlier error beside new results.
+    """
     os.makedirs(trial_dir, exist_ok=True)
-    # a rerun that succeeds must not keep the error of an earlier attempt
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(trial_dir, "error.txt"))
+    for name in ("error.txt",) if exc is None else _RESULT_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(trial_dir, name))
+    if exc is not None:
+        _atomic_write(os.path.join(trial_dir, "error.txt"),
+                      "".join(traceback.format_exception(exc)))
+        return
     # write-then-rename so readers never observe partial files
     scores_path = os.path.join(trial_dir, "scores.csv")
     save_scores(result.scores, graph.labels, scores_path + ".tmp")
@@ -322,12 +305,6 @@ def _write_trial(trial_dir, graph, result):
                       result.reachability.to_json())
     _atomic_write(os.path.join(trial_dir, "metrics.json"),
                   json.dumps(result.metrics_dict(), sort_keys=True))
-
-
-def _write_error(trial_dir, exc):
-    os.makedirs(trial_dir, exist_ok=True)
-    _atomic_write(os.path.join(trial_dir, "error.txt"),
-                  "".join(traceback.format_exception(exc)))
 
 
 @dataclass
@@ -409,11 +386,7 @@ def _run_on_graph(graph, config):
         run_dir = os.path.join(config.out_dir, config.config_hash())
         os.makedirs(run_dir, exist_ok=True)
         for t, res, exc in outcomes:
-            trial_dir = os.path.join(run_dir, f"trial_{t}")
-            if exc is None:
-                _write_trial(trial_dir, graph, res)
-            else:
-                _write_error(trial_dir, exc)
+            _write_outcome(os.path.join(run_dir, f"trial_{t}"), graph, res, exc)
         _atomic_write(os.path.join(run_dir, "aggregate.json"),
                       json.dumps(aggregate, sort_keys=True, indent=1))
 
@@ -478,19 +451,13 @@ def grid_search(config, grid):
 
     best = min(rows, key=lambda r: (-r["val_auprc"], -r["val_auroc"],
                                     r["hidden_dim"], r["num_layers"], r["index"]))
-    best_config = replace(config, **{k: combos[best["index"]][i]
-                                     for i, k in enumerate(keys)})
+    best_config = configs[best["index"]]
     experiment = _run_on_graph(graph, best_config)
 
+    header = keys + ["val_auprc", "val_auroc"]
+    _write_csv(config, None, "grid.csv", header,
+               [[row[k] for k in header] for row in rows])
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        header = keys + ["val_auprc", "val_auroc"]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(row[k]) if isinstance(row[k], float)
-                                  else str(row[k]) for k in header))
-        _atomic_write(os.path.join(config.out_dir, "grid.csv"),
-                      "\n".join(lines) + "\n")
         trace = {"selection_key": ["val_auprc", "val_auroc", "hidden_dim",
                                    "num_layers", "declaration_order"],
                  "rows": rows, "selected_index": best["index"]}
@@ -518,12 +485,8 @@ def ablation_shuffle_ratio(config, ratios, csv_path=None):
         res = _run_on_graph(graph, replace(config, shuffle_ratio=float(r)))
         rows.append((float(r), res.aggregate["metrics"]["auroc"]["mean"]))
         results.append(res)
-    if csv_path is None and config.out_dir:
-        csv_path = os.path.join(config.out_dir, "ablation_shuffle.csv")
-    if csv_path:
-        lines = ["shuffle_ratio,mean_auroc"]
-        lines += [f"{ratio!r},{score!r}" for ratio, score in rows]
-        _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(config, csv_path, "ablation_shuffle.csv",
+               ["shuffle_ratio", "mean_auroc"], rows)
     return rows, results
 
 
@@ -539,18 +502,15 @@ def sweep_labeled_anomalies(config, counts, csv_path=None):
     rows, results = [], []
     for count in counts:
         # train + disjoint validation anomalies, plus at least one for test
-        if count + 20 + 1 > available:
+        if count + SEMI_ANOMALIES + 1 > available:
             raise ValueError(f"count {count} exceeds available anomalies "
-                             f"({available} total, 20 reserved for validation)")
+                             f"({available} total, {SEMI_ANOMALIES} reserved "
+                             "for validation)")
         cfg = replace(config, split=replace(config.split, n_anom=int(count)))
         res = _run_on_graph(graph, cfg)
         r2 = res.aggregate["metrics"].get("r2", {}).get("mean")
         rows.append((int(count), res.aggregate["metrics"]["auroc"]["mean"], r2))
         results.append(res)
-    if csv_path is None and config.out_dir:
-        csv_path = os.path.join(config.out_dir, "sweep_labels.csv")
-    if csv_path:
-        lines = ["n_labeled_anomalies,mean_auroc,mean_r2"]
-        lines += [f"{c},{a!r},{r2!r}" for c, a, r2 in rows]
-        _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(config, csv_path, "sweep_labels.csv",
+               ["n_labeled_anomalies", "mean_auroc", "mean_r2"], rows)
     return rows, results

@@ -10,6 +10,8 @@ collection's disjoint union (`GraphCollection.union`, segmented by
 `graph_ptr`), with labels untouched. Each graph is still corrupted or masked
 on its own, drawn in collection order from one rng, and its loss weighs as
 much as any other graph's. End-to-end training reads out graph by graph.
+The pipeline holds OpenBLAS to one thread, as experiment does for its
+trials, so its scores do not depend on the machine's core count.
 """
 
 from dataclasses import dataclass
@@ -19,16 +21,18 @@ import os
 
 import numpy as np
 
-from .autodiff import (activation, add, bce_with_logits, concat_rows,
-                       matmul, mean_rows, scale, segment_dot, segment_mean,
-                       train, transpose)
+from ._blas import single_threaded
+from .autodiff import (EPOCHS, LR, activation, add, bce_with_logits,
+                       concat_rows, matmul, mean_rows, scale, segment_dot,
+                       segment_mean, train, transpose)
 from .data import load_dataset, save_dataset
 from .detector import (_probabilities, classifier_logits, fit_classifier,
                        joint_fit)
 from .encoders import encode
 from .graph import disjoint_union
 from .metrics import auprc, auroc
-from .pretrain import (OBJECTIVES, dgi_corrupt, draw_mask, init_pretext,
+from .pretrain import (MASK_RATIO, OBJECTIVES, SCE_GAMMA, SHUFFLE_RATIO,
+                       dgi_corrupt, draw_mask, init_pretext,
                        masked_reconstruction_loss)
 
 
@@ -195,9 +199,11 @@ class GraphLevelResult:
     test_index: np.ndarray
 
 
+@single_threaded()
 def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
-                        epochs=200, lr=0.005, pretrain_epochs=200, seed=0,
-                        shuffle_ratio=1.0, mask_ratio=0.5, gamma=2.0):
+                        epochs=EPOCHS, lr=LR, pretrain_epochs=EPOCHS, seed=0,
+                        shuffle_ratio=SHUFFLE_RATIO, mask_ratio=MASK_RATIO,
+                        gamma=SCE_GAMMA):
     """Run one graph-level experiment; mode is 'dgi', 'graphmae' or 'end2end'."""
     if collection.labels is None:
         raise ValueError("collection has no labels; run downsample_class first")

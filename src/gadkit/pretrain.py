@@ -13,12 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, activation, add, add_bias, bce_with_logits,
-                       gather_rows, matmul, mean_rows, row_substitute, scale,
-                       scaled_cosine_error, spmm, train, transpose, zero_rows)
+from .autodiff import (EPOCHS, LR, Tensor, activation, add, add_bias,
+                       bce_with_logits, gather_rows, matmul, mean_rows,
+                       row_substitute, scale, scaled_cosine_error, spmm, train,
+                       transpose, zero_rows)
 from .encoders import encode, glorot, init_encoder
 
 OBJECTIVES = ("dgi", "graphmae")
+
+# defaults: DGI's shuffled share of rows, GraphMAE's masked share and SCE γ
+SHUFFLE_RATIO, MASK_RATIO, SCE_GAMMA = 1.0, 0.5, 2.0
 
 
 @dataclass
@@ -35,7 +39,7 @@ class DgiConfig:
             raise ValueError("discriminator weight must be square")
 
     @classmethod
-    def create(cls, hidden_dim, shuffle_ratio=1.0, seed=0):
+    def create(cls, hidden_dim, shuffle_ratio=SHUFFLE_RATIO, seed=0):
         rng = np.random.default_rng(seed)
         w = Tensor(glorot(rng, hidden_dim, hidden_dim), requires_grad=True)
         return cls(shuffle_ratio=shuffle_ratio, w_disc=w)
@@ -61,7 +65,8 @@ class MaeConfig:
             raise ValueError("gamma must be >= 1")
 
     @classmethod
-    def create(cls, input_dim, hidden_dim, mask_ratio=0.5, gamma=2.0, seed=0):
+    def create(cls, input_dim, hidden_dim, mask_ratio=MASK_RATIO, gamma=SCE_GAMMA,
+               seed=0):
         rng = np.random.default_rng(seed)
         # the bias starts off-zero: a fully-masked neighborhood decodes to
         # exactly b_dec, and the cosine in the loss is singular at the origin
@@ -150,7 +155,6 @@ def graphmae_loss(encoder_state, graph, config, rng):
 class PretrainResult:
     encoder: object  # frozen EncoderState
     losses: list
-    objective_state: object
 
 
 def init_pretext(encoder_config, objective, seed, shuffle_ratio, mask_ratio, gamma):
@@ -174,8 +178,9 @@ def init_pretext(encoder_config, objective, seed, shuffle_ratio, mask_ratio, gam
     return encoder, obj, graphmae_loss, rng
 
 
-def pretrain_run(graph, encoder_config, objective, epochs=200, lr=0.005, seed=0,
-                 shuffle_ratio=1.0, mask_ratio=0.5, gamma=2.0):
+def pretrain_run(graph, encoder_config, objective, epochs=EPOCHS, lr=LR, seed=0,
+                 shuffle_ratio=SHUFFLE_RATIO, mask_ratio=MASK_RATIO,
+                 gamma=SCE_GAMMA):
     """Optimize the encoder with a label-free objective; returns it frozen.
 
     Negatives/masks are redrawn every epoch. Deterministic per seed; a
@@ -186,7 +191,7 @@ def pretrain_run(graph, encoder_config, objective, epochs=200, lr=0.005, seed=0,
     losses, _ = train(encoder.params() + obj.params(),
                       lambda: loss_fn(encoder, graph, obj, rng), epochs, lr)
     encoder.freeze()
-    return PretrainResult(encoder=encoder, losses=losses, objective_state=obj)
+    return PretrainResult(encoder=encoder, losses=losses)
 
 
 def save_loss_curve(losses, path):

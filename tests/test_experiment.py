@@ -391,3 +391,25 @@ def test_sweeps_load_their_graph_once_with_unchanged_artifacts(tmp_path, monkeyp
         alone = run_experiment(replace(res.config, out_dir=str(tmp_path / "alone")))
         assert (Path(res.run_dir, "aggregate.json").read_bytes()
                 == Path(alone.run_dir, "aggregate.json").read_bytes())
+
+
+def test_a_trial_that_fails_on_rerun_keeps_only_its_error(monkeypatch, tmp_path):
+    first = run_experiment(tiny_config(trials=2, out_dir=str(tmp_path)))
+    trial_0 = {p.name: p.read_bytes() for p in Path(first.run_dir, "trial_0").iterdir()}
+    real = ex.run_trial
+
+    def flaky(graph, config, seed):
+        if seed == 1:
+            raise RuntimeError("synthetic failure")
+        return real(graph, config, seed)
+
+    monkeypatch.setattr(ex, "run_trial", flaky)
+    with pytest.warns(UserWarning, match="1 of 2 trials failed"):
+        rerun = run_experiment(tiny_config(trials=2, out_dir=str(tmp_path)))
+    assert rerun.run_dir == first.run_dir
+    # the earlier success's results would read as a finished trial
+    assert sorted(os.listdir(Path(rerun.run_dir, "trial_1"))) == ["error.txt"]
+    assert {p.name: p.read_bytes()
+            for p in Path(rerun.run_dir, "trial_0").iterdir()} == trial_0
+    aggregate = json.loads(Path(rerun.run_dir, "aggregate.json").read_text())
+    assert aggregate["n_completed"] == 1

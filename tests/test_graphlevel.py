@@ -345,3 +345,53 @@ def test_union_operators_are_the_block_diagonals():
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(expect, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def benchmark_sized_collection(seed):
+    """About 130 graphs of 12-28 nodes, two classes told apart by edge
+    density and feature mean, the second cut to 10% as anomalies."""
+    rng = np.random.default_rng(seed)
+    graphs, classes = [], []
+    for i in range(240):
+        cls = i % 2
+        n = int(rng.integers(12, 29))
+        edges = np.argwhere(np.triu(rng.random((n, n)) < (0.15, 0.30)[cls], k=1))
+        graphs.append(build_graph(edges, 0.75 * cls + rng.standard_normal((n, 8))))
+        classes.append(cls)
+    return downsample_class(GraphCollection(graphs=tuple(graphs),
+                                            class_ids=np.asarray(classes)),
+                            1, 0.10, seed=seed)
+
+
+def test_pipeline_scores_do_not_depend_on_blas_threads(blas_threads, monkeypatch):
+    import gadkit.graphlevel as gl
+    from gadkit import _blas
+
+    coll = benchmark_sized_collection(seed=3)
+    enc = EncoderConfig(kind="gin", input_dim=8, activation="prelu")
+
+    def run():
+        return graphlevel_pipeline(coll, "dgi", enc, train_ratio=0.2, epochs=40,
+                                   pretrain_epochs=10, seed=3).test_scores.tobytes()
+
+    # OpenBLAS at 2 threads splits the weight-gradient products differently
+    # than at 1, so without the pipeline's own hold these bytes would differ
+    at_two = run()
+    assert _blas.threads() == blas_threads
+    _blas.set_threads(1)
+    try:
+        assert run() == at_two
+    finally:
+        _blas.set_threads(blas_threads)
+
+    seen = []
+
+    def failing_fit(*args, **kwargs):
+        seen.append(_blas.threads())
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(gl, "fit_classifier", failing_fit)
+    with pytest.raises(RuntimeError, match="synthetic failure"):
+        run()
+    assert seen == [1]
+    assert _blas.threads() == blas_threads
