@@ -22,6 +22,8 @@ import threading
 
 import numpy as np
 
+from ._blas import single_threaded
+
 
 class NonFiniteError(ValueError):
     """Raised when a tensor would contain NaN or Inf."""
@@ -473,6 +475,7 @@ VAL_CHECK_EVERY = 10
 EPOCHS, LR = 200, 0.005  # every paradigm's default Adam steps and step size
 
 
+@single_threaded()
 def train(params, loss_fn, epochs, lr, validate=None):
     """Minimize loss_fn() over params with full-batch Adam for `epochs` steps.
 
@@ -482,6 +485,8 @@ def train(params, loss_fn, epochs, lr, validate=None):
     and params end at the values of the first check with the best score.
     Returns (losses, best) with best = (score, epoch), or None without
     validate. A non-finite value raises RuntimeError naming the epoch.
+    It holds OpenBLAS to one thread (see _blas), since the thread count
+    changes the last bits of the weight-gradient products.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")

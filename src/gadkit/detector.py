@@ -6,6 +6,7 @@ end2end_run trains encoder and classifier jointly through joint_fit. Both
 minimize class-weighted binary cross-entropy over the labeled training rows
 only, with anomaly weight #normals/#anomalies, and both keep the parameters
 with the best validation AUPRC (see autodiff.train for the checkpointing).
+The FitResult they return scores items through the rows it was trained on.
 """
 
 from dataclasses import dataclass
@@ -92,38 +93,38 @@ def class_weights(y):
 class FitResult:
     """A trained classifier at its best validation check.
 
-    encoder is the jointly trained encoder, or None when the classifier was
-    fit on fixed embeddings.
+    rows(idx) returns the classifier's input rows for the indexed items
+    (nodes or graphs), as in training; encoder is the jointly trained
+    encoder, or None when the classifier was fit on fixed embeddings.
     """
 
     classifier: ClassifierState
-    val_scores: ScoreVector
-    losses: list
-    best_epoch: int
-    val_auprc: float
+    rows: object
     encoder: object = None
+    losses: list = None
+    best_epoch: int = None
+    val_auprc: float = None
+    val_scores: ScoreVector = None
+
+    def scores(self, idx):
+        """Anomaly probabilities of the indexed items under the classifier."""
+        logits = classifier_logits(self.rows(idx), self.classifier).values[:, 0]
+        return ScoreVector(idx, _probabilities(logits))
 
 
-def _fit(clf, params, train_rows, val_rows, train_y, val_idx, val_y, epochs, lr,
+def _fit(clf, params, rows, train_idx, train_y, val_idx, val_y, epochs, lr,
          encoder=None):
-    """Train params under the weighted BCE of clf on train_rows().
-
-    train_rows and val_rows take no arguments and return the classifier's
-    input rows; the validation AUPRC on val_rows() picks the checkpoint.
-    """
+    """Train params under the weighted BCE of clf on rows(train_idx); the
+    validation AUPRC of the scores of val_idx picks the checkpoint."""
     y_col = np.asarray(train_y, dtype=np.float64).reshape(-1, 1)
     weights = class_weights(y_col)
-
-    def val_scores():
-        return _probabilities(classifier_logits(val_rows(), clf).values[:, 0])
-
-    losses, (val_auprc, best_epoch) = train(
-        params, lambda: bce_with_logits(classifier_logits(train_rows(), clf),
+    fit = FitResult(classifier=clf, rows=rows, encoder=encoder)
+    fit.losses, (fit.val_auprc, fit.best_epoch) = train(
+        params, lambda: bce_with_logits(classifier_logits(rows(train_idx), clf),
                                         y_col, weights),
-        epochs, lr, validate=lambda: auprc(val_scores(), val_y))
-    return FitResult(classifier=clf, val_scores=ScoreVector(val_idx, val_scores()),
-                     losses=losses, best_epoch=best_epoch, val_auprc=val_auprc,
-                     encoder=encoder)
+        epochs, lr, validate=lambda: auprc(fit.scores(val_idx).scores, val_y))
+    fit.val_scores = fit.scores(val_idx)
+    return fit
 
 
 def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
@@ -139,12 +140,8 @@ def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
     clf = init_classifier(embeddings.shape[1], seed)
     if standardize:
         clf.set_standardization(embeddings)
-    # pre-standardized training block; raw rows elsewhere go through the
-    # classifier_logits array path, which applies the same transform once
-    h_train = Tensor(clf.standardize(embeddings[train_idx]))
-    h_val = embeddings[val_idx]
-    return _fit(clf, clf.params(), lambda: h_train, lambda: h_val,
-                train_y, val_idx, val_y, epochs, lr)
+    return _fit(clf, clf.params(), lambda idx: embeddings[idx],
+                train_idx, train_y, val_idx, val_y, epochs, lr)
 
 
 def joint_fit(encoder_config, rows, train_idx, train_y, val_idx, val_y,
@@ -160,8 +157,8 @@ def joint_fit(encoder_config, rows, train_idx, train_y, val_idx, val_y,
     encoder = init_encoder(encoder_config, enc_seed)
     clf = init_classifier(encoder_config.hidden_dim, clf_seed)
     return _fit(clf, encoder.params() + clf.params(),
-                lambda: rows(encoder, train_idx), lambda: rows(encoder, val_idx),
-                train_y, val_idx, val_y, epochs, lr, encoder=encoder)
+                lambda idx: rows(encoder, idx),
+                train_idx, train_y, val_idx, val_y, epochs, lr, encoder=encoder)
 
 
 def _split_xy(graph, split):
@@ -179,16 +176,12 @@ def finetune_run(encoder, graph, split, epochs=EPOCHS, lr=LR, seed=0):
     """
     if not encoder.frozen:
         raise ValueError("finetune_run requires a frozen encoder (see pretrain_run)")
-    if split.train_anomalies.size == 0:
-        raise ValueError("no labeled anomalies in the training split")
     embeddings = encode(encoder, graph).values
     return fit_classifier(embeddings, *_split_xy(graph, split), epochs, lr, seed)
 
 
 def end2end_run(encoder_config, graph, split, epochs=EPOCHS, lr=LR, seed=0):
     """Jointly train encoder and classifier on the labeled training nodes."""
-    if split.train_anomalies.size == 0:
-        raise ValueError("no labeled anomalies in the training split")
     # hold the last full representation until the next forward pass has
     # replaced it: released earlier, the allocator trims the emptied heap and
     # every epoch faults its whole working set in again (10x the page faults

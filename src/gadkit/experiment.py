@@ -6,6 +6,7 @@ bit-identical (wall time is kept in memory only, never persisted).
 Layout: <out>/<config-hash>/trial_<t>/{scores.csv, losses.csv,
 reachability.json, metrics.json} plus <out>/<config-hash>/aggregate.json;
 a trial that raised leaves only trial_<t>/error.txt, its traceback.
+A trial scores its test nodes with its fitted detector (FitResult.scores).
 
 With workers > 1, the trials of a run (and the validation trials of every
 grid point) run on that many threads; with one, in order on the calling
@@ -32,7 +33,7 @@ from .autodiff import EPOCHS, LR
 from .data import (SEMI_ANOMALIES, SEMI_NORMALS, SyntheticSpec,
                    generate_synthetic, load_dataset, make_full_split,
                    make_semi_split)
-from .detector import end2end_run, finetune_run, save_scores, score_nodes
+from .detector import end2end_run, finetune_run, save_scores
 from .diagnostics import K_MAX, k_hop_reachable_ratio
 from .encoders import EncoderConfig
 from .graph import UNREACHABLE
@@ -145,22 +146,27 @@ def _make_split(graph, config, seed):
 
 
 def _train_models(graph, config, split, seed):
-    """Returns (encoder, classifier, losses, val_auprc, val_scores)."""
+    """Returns (fit, losses): the FitResult and the encoder's loss curve."""
     enc_config = EncoderConfig(
         kind=config.encoder_kind, input_dim=graph.features.shape[1],
         hidden_dim=config.hidden_dim, num_layers=config.num_layers,
         activation=config.resolved_activation())
     if config.paradigm == "end2end":
-        r = end2end_run(enc_config, graph, split, epochs=config.epochs,
-                        lr=config.lr, seed=seed)
-        return r.encoder, r.classifier, r.losses, r.val_auprc, r.val_scores
+        fit = end2end_run(enc_config, graph, split, epochs=config.epochs,
+                          lr=config.lr, seed=seed)
+        return fit, fit.losses
     pre = pretrain_run(graph, enc_config, config.paradigm,
                        epochs=config.pretrain_epochs, lr=config.lr, seed=seed,
                        shuffle_ratio=config.shuffle_ratio,
                        mask_ratio=config.mask_ratio, gamma=config.sce_gamma)
-    ft = finetune_run(pre.encoder, graph, split, epochs=config.epochs,
-                      lr=config.lr, seed=seed)
-    return pre.encoder, ft.classifier, pre.losses, ft.val_auprc, ft.val_scores
+    fit = finetune_run(pre.encoder, graph, split, epochs=config.epochs,
+                       lr=config.lr, seed=seed)
+    return fit, pre.losses
+
+
+def _val_auroc(graph, fit):
+    val = fit.val_scores
+    return auroc(val.scores, (graph.labels[val.nodes] == 1).astype(np.int64))
 
 
 @dataclass
@@ -192,13 +198,11 @@ class TrialResult:
 def run_trial(graph, config, seed):
     started = time.perf_counter()
     split = _make_split(graph, config, seed)
-    encoder, clf, losses, val_auprc, val_scores = _train_models(
-        graph, config, split, seed)
+    fit, losses = _train_models(graph, config, split, seed)
 
     test_nodes = split.test
-    sv = score_nodes(encoder, clf, graph, test_nodes)
+    sv = fit.scores(test_nodes)
     y_test = (graph.labels[test_nodes] == 1).astype(np.int64)
-    val_y = (graph.labels[val_scores.nodes] == 1).astype(np.int64)
 
     report = None
     hop_ranks = {}
@@ -220,8 +224,8 @@ def run_trial(graph, config, seed):
         seed=seed,
         auroc=auroc(sv.scores, y_test),
         auprc=auprc(sv.scores, y_test),
-        val_auroc=auroc(val_scores.scores, val_y),
-        val_auprc=val_auprc,
+        val_auroc=_val_auroc(graph, fit),
+        val_auprc=fit.val_auprc,
         hop_ranks=hop_ranks,
         far_rank=far_rank,
         reachability=report,
@@ -264,16 +268,14 @@ def _atomic_write(path, text):
     os.replace(path + ".tmp", path)
 
 
-def _write_csv(config, csv_path, name, header, rows):
-    """rows under header, to csv_path, else to out_dir/name when out_dir is
-    set, else nowhere; a float cell is its repr, any other cell its str."""
-    if csv_path is None and config.out_dir:
-        csv_path = os.path.join(config.out_dir, name)
-    if csv_path:
+def _write_csv(config, name, header, rows):
+    """rows under header, to out_dir/name when out_dir is set, else nowhere;
+    a float cell is its repr, any other cell its str."""
+    if config.out_dir:
         lines = [",".join(header)]
         lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
                   for row in rows]
-        _atomic_write(csv_path, "\n".join(lines) + "\n")
+        _atomic_write(os.path.join(config.out_dir, name), "\n".join(lines) + "\n")
 
 
 _RESULT_FILES = ("scores.csv", "losses.csv", "reachability.json", "metrics.json")
@@ -397,9 +399,8 @@ def _run_on_graph(graph, config):
 def _validation_only(graph, config, seed):
     """Train at one seed and report validation metrics; never touches test."""
     split = _make_split(graph, config, seed)
-    _, _, _, val_auprc, val_scores = _train_models(graph, config, split, seed)
-    val_y = (graph.labels[val_scores.nodes] == 1).astype(np.int64)
-    return val_auprc, auroc(val_scores.scores, val_y)
+    fit, _ = _train_models(graph, config, split, seed)
+    return fit.val_auprc, _val_auroc(graph, fit)
 
 
 @dataclass
@@ -455,7 +456,7 @@ def grid_search(config, grid):
     experiment = _run_on_graph(graph, best_config)
 
     header = keys + ["val_auprc", "val_auroc"]
-    _write_csv(config, None, "grid.csv", header,
+    _write_csv(config, "grid.csv", header,
                [[row[k] for k in header] for row in rows])
     if config.out_dir:
         trace = {"selection_key": ["val_auprc", "val_auroc", "hidden_dim",
@@ -468,7 +469,7 @@ def grid_search(config, grid):
                             rows=rows, experiment=experiment)
 
 
-def ablation_shuffle_ratio(config, ratios, csv_path=None):
+def ablation_shuffle_ratio(config, ratios):
     """One full experiment per DGI corruption ratio, sharing the seed schedule.
 
     Returns (rows, results): rows are (ratio, mean test AUROC) and results
@@ -485,12 +486,12 @@ def ablation_shuffle_ratio(config, ratios, csv_path=None):
         res = _run_on_graph(graph, replace(config, shuffle_ratio=float(r)))
         rows.append((float(r), res.aggregate["metrics"]["auroc"]["mean"]))
         results.append(res)
-    _write_csv(config, csv_path, "ablation_shuffle.csv",
+    _write_csv(config, "ablation_shuffle.csv",
                ["shuffle_ratio", "mean_auroc"], rows)
     return rows, results
 
 
-def sweep_labeled_anomalies(config, counts, csv_path=None):
+def sweep_labeled_anomalies(config, counts):
     """Semi splits with n_anom swept over counts; reports AUROC and R_2.
 
     Returns (rows, results) with rows (count, mean test AUROC, mean R_2).
@@ -499,18 +500,20 @@ def sweep_labeled_anomalies(config, counts, csv_path=None):
         raise ValueError("the labeled-anomaly sweep requires the semi regime")
     graph = load_config_graph(config)
     available = int((graph.labels == 1).sum())
-    rows, results = [], []
+    configs = []
     for count in counts:
         # train + disjoint validation anomalies, plus at least one for test
         if count + SEMI_ANOMALIES + 1 > available:
             raise ValueError(f"count {count} exceeds available anomalies "
                              f"({available} total, {SEMI_ANOMALIES} reserved "
                              "for validation)")
-        cfg = replace(config, split=replace(config.split, n_anom=int(count)))
+        configs.append(replace(config, split=replace(config.split, n_anom=int(count))))
+    rows, results = [], []
+    for cfg in configs:
         res = _run_on_graph(graph, cfg)
         r2 = res.aggregate["metrics"].get("r2", {}).get("mean")
-        rows.append((int(count), res.aggregate["metrics"]["auroc"]["mean"], r2))
+        rows.append((cfg.split.n_anom, res.aggregate["metrics"]["auroc"]["mean"], r2))
         results.append(res)
-    _write_csv(config, csv_path, "sweep_labels.csv",
+    _write_csv(config, "sweep_labels.csv",
                ["n_labeled_anomalies", "mean_auroc", "mean_r2"], rows)
     return rows, results

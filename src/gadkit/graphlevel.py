@@ -2,8 +2,8 @@
 
 A collection is labeled by the downsampling protocol: one class is cut to a
 small fraction and marked anomalous, every other graph is normal. Detection
-reuses the node-level machinery with a mean-pooled readout per graph, and
-both paradigms train and checkpoint through autodiff.train.
+reuses the node-level machinery with a mean-pooled readout per graph: both
+paradigms fit through detector, and FitResult.scores scores the test graphs.
 
 The pretexts and the frozen encoder's readouts run once per epoch over the
 collection's disjoint union (`GraphCollection.union`, segmented by
@@ -26,8 +26,7 @@ from .autodiff import (EPOCHS, LR, activation, add, bce_with_logits,
                        concat_rows, matmul, mean_rows, scale, segment_dot,
                        segment_mean, train, transpose)
 from .data import load_dataset, save_dataset
-from .detector import (_probabilities, classifier_logits, fit_classifier,
-                       joint_fit)
+from .detector import fit_classifier, joint_fit
 from .encoders import encode
 from .graph import disjoint_union
 from .metrics import auprc, auroc
@@ -216,11 +215,9 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
         encoder, losses = _collection_pretrain(
             collection, encoder_config, mode, pretrain_epochs, lr, seed,
             shuffle_ratio, mask_ratio, gamma)
-        readouts = _union_readouts(encoder, collection)
-        fit = fit_classifier(readouts, train_idx, labels[train_idx],
-                             val_idx, labels[val_idx], epochs, lr, seed,
-                             standardize=False)
-        test_rows = readouts[test_idx]
+        fit = fit_classifier(_union_readouts(encoder, collection), train_idx,
+                             labels[train_idx], val_idx, labels[val_idx],
+                             epochs, lr, seed, standardize=False)
     elif mode == "end2end":
         def rows(encoder, idx):
             return concat_rows([graph_readout(encoder, collection.graphs[i])
@@ -229,12 +226,10 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
         fit = joint_fit(encoder_config, rows, train_idx, labels[train_idx],
                         val_idx, labels[val_idx], epochs, lr, seed)
         losses = fit.losses
-        test_rows = rows(fit.encoder, test_idx)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    test_scores = _probabilities(
-        classifier_logits(test_rows, fit.classifier).values[:, 0])
+    test_scores = fit.scores(test_idx).scores
     y_test = labels[test_idx]
     return GraphLevelResult(auroc=auroc(test_scores, y_test),
                             auprc=auprc(test_scores, y_test),
@@ -242,7 +237,7 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
                             test_scores=test_scores, test_index=test_idx)
 
 
-def save_collection(collection, out_dir, manifest_name="collection.json"):
+def save_collection(collection, out_dir):
     """Per-graph edge/feature files plus a manifest with class ids."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
@@ -252,7 +247,7 @@ def save_collection(collection, out_dir, manifest_name="collection.json"):
         save_dataset(g, os.path.join(out_dir, edges), os.path.join(out_dir, feats))
         entries.append({"edges": edges, "features": feats,
                         "class": int(collection.class_ids[i])})
-    path = os.path.join(out_dir, manifest_name)
+    path = os.path.join(out_dir, "collection.json")
     with open(path, "w") as fh:
         json.dump({"graphs": entries}, fh, indent=1, sort_keys=True)
     return path

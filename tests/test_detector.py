@@ -277,3 +277,49 @@ def test_end2end_divergence_names_the_epoch():
     cfg = EncoderConfig(kind="gcn", input_dim=6, hidden_dim=8)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
         end2end_run(cfg, g, split, epochs=20, lr=1e300, seed=0)
+
+
+@pytest.mark.parametrize("paradigm", ["finetune", "end2end"])
+def test_fit_scores_are_the_scores_of_score_nodes(paradigm):
+    g = bench_graph(seed=12)
+    split = make_semi_split(g, seed=1)
+    if paradigm == "finetune":
+        encoder = frozen_encoder(g, seed=2)
+        fit = finetune_run(encoder, g, split, epochs=12, seed=3)
+        # standardized columns, so scores must apply the recorded transform
+        assert fit.classifier.input_mean is not None
+    else:
+        cfg = EncoderConfig(kind="gin", input_dim=6, hidden_dim=8)
+        fit = end2end_run(cfg, g, split, epochs=12, seed=3)
+        encoder = fit.encoder
+    for idx in (split.test, split.val_nodes):
+        got = fit.scores(idx)
+        expect = score_nodes(encoder, fit.classifier, g, idx)
+        assert np.array_equal(got.nodes, expect.nodes)
+        assert got.scores.tobytes() == expect.scores.tobytes()
+    assert fit.val_scores.scores.tobytes() == fit.scores(split.val_nodes).scores.tobytes()
+
+
+def test_direct_calls_give_the_same_scores_at_one_and_two_blas_threads(
+        blas_threads):
+    from gadkit import _blas
+
+    # 2000 nodes × 32 hidden units: large enough that OpenBLAS, given two
+    # threads, splits the weight-gradient products and changes their bits
+    g = generate_synthetic(SyntheticSpec(seed=11))
+    split = make_semi_split(g, seed=0)
+    cfg = EncoderConfig(kind="gin", input_dim=g.features.shape[1], hidden_dim=32,
+                        activation="prelu")
+
+    def run():
+        pre = pretrain_run(g, cfg, "dgi", epochs=5, seed=0)
+        fit = finetune_run(pre.encoder, g, split, epochs=5, seed=0)
+        return score_nodes(pre.encoder, fit.classifier, g, split.test).scores.tobytes()
+
+    at_two = run()
+    assert _blas.threads() == blas_threads
+    _blas.set_threads(1)
+    try:
+        assert run() == at_two
+    finally:
+        _blas.set_threads(blas_threads)

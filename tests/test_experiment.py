@@ -413,3 +413,18 @@ def test_a_trial_that_fails_on_rerun_keeps_only_its_error(monkeypatch, tmp_path)
             for p in Path(rerun.run_dir, "trial_0").iterdir()} == trial_0
     aggregate = json.loads(Path(rerun.run_dir, "aggregate.json").read_text())
     assert aggregate["n_completed"] == 1
+
+
+def test_sweep_rejects_a_bad_count_before_running_any(tmp_path, monkeypatch):
+    real = ex.run_trial
+    calls = []
+
+    def counting(graph, config, seed):
+        calls.append(seed)
+        return real(graph, config, seed)
+
+    monkeypatch.setattr(ex, "run_trial", counting)
+    with pytest.raises(ValueError, match="count 59 exceeds"):
+        sweep_labeled_anomalies(tiny_config(out_dir=str(tmp_path)), [1, 59])
+    assert calls == []
+    assert os.listdir(tmp_path) == []
