@@ -147,16 +147,14 @@ def cmd_grid(args):
 
 
 def cmd_ablate_shuffle(args):
-    ratios = [float(tok) for tok in args.ratios.split(",")]
-    rows, results = ablation_shuffle_ratio(_config_from_args(args), ratios)
+    rows, results = ablation_shuffle_ratio(_config_from_args(args), args.ratios)
     for ratio, score in rows:
         print(f"shuffle_ratio={ratio}: mean_auroc={score:.4f}")
     return 0 if all(r.ok for r in results) else 1
 
 
 def cmd_sweep_labels(args):
-    counts = [int(tok) for tok in args.counts.split(",")]
-    rows, results = sweep_labeled_anomalies(_config_from_args(args), counts)
+    rows, results = sweep_labeled_anomalies(_config_from_args(args), args.counts)
     for count, score, r2 in rows:
         print(f"n_anom={count}: mean_auroc={score:.4f} mean_r2={r2}")
     return 0 if all(r.ok for r in results) else 1
@@ -222,6 +220,14 @@ def cmd_graph_level(args):
     return 0
 
 
+def _comma_list(kind):
+    """argparse type: a comma-separated list of kind; a bad item is a usage error."""
+    def parse(text):
+        return [kind(tok) for tok in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="gadkit",
                                      description="graph anomaly detection toolkit")
@@ -242,13 +248,13 @@ def build_parser():
     p = sub.add_parser("ablate-shuffle", help="DGI corruption-ratio ablation")
     _add_dataset_flags(p)
     _add_experiment_flags(p)
-    p.add_argument("--ratios", default="0.25,0.5,0.75,1.0")
+    p.add_argument("--ratios", type=_comma_list(float), default="0.25,0.5,0.75,1.0")
     p.set_defaults(func=cmd_ablate_shuffle)
 
     p = sub.add_parser("sweep-labels", help="labeled-anomaly count sweep")
     _add_dataset_flags(p)
     _add_experiment_flags(p)
-    p.add_argument("--counts", default="1,5,20")
+    p.add_argument("--counts", type=_comma_list(int), default="1,5,20")
     p.set_defaults(func=cmd_sweep_labels)
 
     p = sub.add_parser("diagnose", help="density class and reachable ratios")

@@ -165,16 +165,13 @@ class SyntheticSpec:
 
 
 def _block_edges(rng, offset_a, size_a, offset_b, size_b, p):
-    """Bernoulli(p) edges between two node ranges (upper triangle if same)."""
+    """(E, 2) Bernoulli(p) edges between two node ranges (upper triangle if same)."""
     if p <= 0.0:
-        return []
-    if offset_a == offset_b:
-        mask = rng.random((size_a, size_a)) < p
-        iu, ju = np.where(np.triu(mask, k=1))
-        return list(zip(iu + offset_a, ju + offset_a))
+        return np.empty((0, 2), dtype=np.int64)
     mask = rng.random((size_a, size_b)) < p
-    iu, ju = np.where(mask)
-    return list(zip(iu + offset_a, ju + offset_b))
+    if offset_a == offset_b:
+        mask = np.triu(mask, k=1)
+    return np.argwhere(mask) + (offset_a, offset_b)
 
 
 def generate_synthetic(spec):
@@ -200,15 +197,13 @@ def generate_synthetic(spec):
     struct_nodes = anomalies[:n_struct]
     context_nodes = anomalies[n_struct:] if spec.contextual else anomalies[n_anom:]
 
-    for v in context_nodes:
-        features[v] = (block_mean[v] + spec.feature_shift
-                       + spec.feature_noise * rng.standard_normal(spec.feature_dim))
+    k, d = context_nodes.size, spec.feature_dim
+    features[context_nodes] = (block_mean[context_nodes, None] + spec.feature_shift
+                               + spec.feature_noise * rng.standard_normal((k, d)))
 
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i, len(sizes)):
-            p = spec.intra_p if i == j else spec.inter_p
-            edges.extend(_block_edges(rng, offsets[i], sizes[i], offsets[j], sizes[j], p))
+    edges = [_block_edges(rng, offsets[i], sizes[i], offsets[j], sizes[j],
+                          spec.intra_p if i == j else spec.inter_p)
+             for i in range(len(sizes)) for j in range(i, len(sizes))]
 
     if n_struct:
         q = spec.clique_size
@@ -219,14 +214,11 @@ def generate_synthetic(spec):
         if len(groups) > 1 and groups[-1].size < 2:
             groups[-2] = np.concatenate([groups[-2], groups[-1]])
             groups.pop()
-        for grp in groups:
-            for a in range(grp.size):
-                for b in range(a + 1, grp.size):
-                    edges.append((grp[a], grp[b]))
+        edges += [grp[np.column_stack(np.triu_indices(grp.size, k=1))] for grp in groups]
 
     labels = np.zeros(n, dtype=np.int64)
     labels[anomalies] = 1
-    return build_graph(edges, features, labels)
+    return build_graph(np.concatenate(edges), features, labels)
 
 
 def _fmt(x):

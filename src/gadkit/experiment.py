@@ -8,11 +8,15 @@ reachability.json, metrics.json} plus <out>/<config-hash>/aggregate.json;
 a trial that raised leaves only trial_<t>/error.txt, its traceback.
 A trial scores its test nodes with its fitted detector (FitResult.scores).
 
-With workers > 1, the trials of a run (and the validation trials of every
-grid point) run on that many threads; with one, in order on the calling
-thread. Either way numpy's OpenBLAS is held to one thread while the trials
-run and restored afterwards, so trial threads and BLAS threads do not
-compete for the cores, and the worker count changes no result bit.
+A run, an ablation, a sweep and a grid's validation trials each hand one
+list of configs to one trial map (a grid's winner then runs as a run). With
+workers > 1 every trial of the list shares one pool of that many threads;
+with one, they run in order on the calling thread. Either way numpy's
+OpenBLAS is held to one thread while the trials run and restored afterwards,
+so trial threads and BLAS threads do not compete for the cores, and the
+worker count changes no result bit. Files are written config by config once
+every trial of the list has run; a config whose trials all failed raises
+RuntimeError after those before it are written.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -328,45 +332,51 @@ def run_experiment(config):
     A failing trial is recorded (not raised); aggregation then covers the
     completed trials only and a warning is emitted.
     """
-    return _run_on_graph(load_config_graph(config), config)
+    return _run_on_graph(load_config_graph(config), [config])[0]
 
 
-def _map_trials(fn, items, workers):
-    """[(index, fn(item), None) or (index, None, exception)], in item order.
+def _map_trials(fn, graph, configs):
+    """Per config, [(t, fn(graph, config, seed), None) or (t, None, exception)]
+    over its trials t, where seed is config.base_seed + t.
 
-    The items run inline with one worker, else on a pool of that many
-    threads. BLAS is held to one thread either way: with more, OpenBLAS
-    splits the long inner dimension of the weight-gradient products over
-    its threads, which changes their last bits, so trials would depend on
-    the worker count (and on the machine's cores).
+    The graph's operators are built here, so the trials only read them. All
+    trials run inline with one worker, else on one pool of that many threads.
+    BLAS is held to one thread either way: with more, OpenBLAS splits the
+    long inner dimension of the weight-gradient products over its threads,
+    which changes their last bits, so trials would depend on the worker
+    count (and on the machine's cores).
     """
-    def attempt(index, item):
-        try:
-            return index, fn(item), None
-        except Exception as exc:  # noqa: BLE001 - reported per item
-            return index, None, exc
-
-    with single_threaded():
-        if workers == 1:
-            return [attempt(i, item) for i, item in enumerate(items)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(attempt, range(len(items)), items))
-
-
-def _run_on_graph(graph, config):
-    """run_experiment on config's graph, already loaded by the caller."""
-    # build the graph's operators on this thread: the trials only read them
     _ = graph.adjacency, graph.normalized_adjacency
-    outcomes = _map_trials(
-        lambda t: run_trial(graph, config, config.base_seed + t),
-        range(config.trials), config.workers)
 
-    results, failures = [], []
-    for t, res, exc in outcomes:
-        if exc is not None:
-            failures.append({"trial": t, "error": f"{type(exc).__name__}: {exc}"})
+    def attempt(job):
+        config, t = job
+        try:
+            return t, fn(graph, config, config.base_seed + t), None
+        except Exception as exc:  # noqa: BLE001 - reported per trial
+            return t, None, exc
+
+    jobs = [(config, t) for config in configs for t in range(config.trials)]
+    with single_threaded():
+        if configs[0].workers == 1:
+            outcomes = [attempt(job) for job in jobs]
         else:
-            results.append(res)
+            with ThreadPoolExecutor(max_workers=configs[0].workers) as pool:
+                outcomes = list(pool.map(attempt, jobs))
+    rest = iter(outcomes)
+    return [list(itertools.islice(rest, config.trials)) for config in configs]
+
+
+def _run_on_graph(graph, configs):
+    """run_experiment per config, on their graph, already loaded by the caller."""
+    return [_record(graph, config, outcomes) for config, outcomes
+            in zip(configs, _map_trials(run_trial, graph, configs))]
+
+
+def _record(graph, config, outcomes):
+    """config's ExperimentResult from its trial outcomes, files written."""
+    results = [res for _, res, exc in outcomes if exc is None]
+    failures = [{"trial": t, "error": f"{type(exc).__name__}: {exc}"}
+                for t, _, exc in outcomes if exc is not None]
 
     if failures:
         warnings.warn(f"{len(failures)} of {config.trials} trials failed; "
@@ -428,32 +438,22 @@ def grid_search(config, grid):
     combos = list(itertools.product(*(grid[k] for k in keys)))
 
     graph = load_config_graph(config)
-    # operators built here, as in _run_on_graph, so the pool only reads them
-    _ = graph.adjacency, graph.normalized_adjacency
     configs = [replace(config, **dict(zip(keys, combo))) for combo in combos]
-    # every combo runs config.trials trials; flattened so they share one pool
-    outcomes = _map_trials(lambda job: _validation_only(graph, *job),
-                           [(cfg, cfg.base_seed + t) for cfg in configs
-                            for t in range(config.trials)], config.workers)
-    for _, _, exc in outcomes:
-        if exc is not None:
-            raise exc
+    outcomes = _map_trials(_validation_only, graph, configs)
     rows = []
-    for index, (combo, cfg) in enumerate(zip(combos, configs)):
-        start = index * config.trials
-        vals = [res for _, res, _ in outcomes[start:start + config.trials]]
-        row = dict(zip(keys, combo))
-        row["index"] = index
-        row["val_auprc"] = float(np.mean([v[0] for v in vals]))
-        row["val_auroc"] = float(np.mean([v[1] for v in vals]))
-        row["hidden_dim"] = cfg.hidden_dim
-        row["num_layers"] = cfg.num_layers
-        rows.append(row)
+    for index, (combo, cfg, trials) in enumerate(zip(combos, configs, outcomes)):
+        for _, _, exc in trials:
+            if exc is not None:
+                raise exc
+        rows.append({**dict(zip(keys, combo)), "index": index,
+                     "val_auprc": float(np.mean([res[0] for _, res, _ in trials])),
+                     "val_auroc": float(np.mean([res[1] for _, res, _ in trials])),
+                     "hidden_dim": cfg.hidden_dim, "num_layers": cfg.num_layers})
 
     best = min(rows, key=lambda r: (-r["val_auprc"], -r["val_auroc"],
                                     r["hidden_dim"], r["num_layers"], r["index"]))
     best_config = configs[best["index"]]
-    experiment = _run_on_graph(graph, best_config)
+    experiment = _run_on_graph(graph, [best_config])[0]
 
     header = keys + ["val_auprc", "val_auroc"]
     _write_csv(config, "grid.csv", header,
@@ -477,17 +477,17 @@ def ablation_shuffle_ratio(config, ratios):
     """
     if config.paradigm != "dgi":
         raise ValueError("the shuffle-ratio ablation applies to the dgi paradigm")
+    ratios = [float(r) for r in ratios]
+    if not ratios:
+        raise ValueError("no shuffle ratios given")
     for r in ratios:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"shuffle ratio {r} outside [0, 1]")
-    graph = load_config_graph(config)
-    rows, results = [], []
-    for r in ratios:
-        res = _run_on_graph(graph, replace(config, shuffle_ratio=float(r)))
-        rows.append((float(r), res.aggregate["metrics"]["auroc"]["mean"]))
-        results.append(res)
-    _write_csv(config, "ablation_shuffle.csv",
-               ["shuffle_ratio", "mean_auroc"], rows)
+    results = _run_on_graph(load_config_graph(config),
+                            [replace(config, shuffle_ratio=r) for r in ratios])
+    rows = [(r, res.aggregate["metrics"]["auroc"]["mean"])
+            for r, res in zip(ratios, results)]
+    _write_csv(config, "ablation_shuffle.csv", ["shuffle_ratio", "mean_auroc"], rows)
     return rows, results
 
 
@@ -498,22 +498,22 @@ def sweep_labeled_anomalies(config, counts):
     """
     if config.split.regime != "semi":
         raise ValueError("the labeled-anomaly sweep requires the semi regime")
+    counts = [int(count) for count in counts]
+    if not counts:
+        raise ValueError("no labeled-anomaly counts given")
     graph = load_config_graph(config)
     available = int((graph.labels == 1).sum())
-    configs = []
     for count in counts:
         # train + disjoint validation anomalies, plus at least one for test
         if count + SEMI_ANOMALIES + 1 > available:
             raise ValueError(f"count {count} exceeds available anomalies "
                              f"({available} total, {SEMI_ANOMALIES} reserved "
                              "for validation)")
-        configs.append(replace(config, split=replace(config.split, n_anom=int(count))))
-    rows, results = [], []
-    for cfg in configs:
-        res = _run_on_graph(graph, cfg)
-        r2 = res.aggregate["metrics"].get("r2", {}).get("mean")
-        rows.append((cfg.split.n_anom, res.aggregate["metrics"]["auroc"]["mean"], r2))
-        results.append(res)
+    configs = [replace(config, split=replace(config.split, n_anom=c)) for c in counts]
+    results = _run_on_graph(graph, configs)
+    rows = [(c, res.aggregate["metrics"]["auroc"]["mean"],
+             res.aggregate["metrics"].get("r2", {}).get("mean"))
+            for c, res in zip(counts, results)]
     _write_csv(config, "sweep_labels.csv",
                ["n_labeled_anomalies", "mean_auroc", "mean_r2"], rows)
     return rows, results

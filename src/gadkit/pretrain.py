@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (EPOCHS, LR, Tensor, activation, add, add_bias,
-                       bce_with_logits, gather_rows, matmul, mean_rows,
-                       row_substitute, scale, scaled_cosine_error, spmm, train,
-                       transpose, zero_rows)
+from .autodiff import (EPOCHS, LR, Tensor, activation, add, bce_with_logits,
+                       gather_rows, matmul, mean_rows, row_substitute, scale,
+                       scaled_cosine_error, spmm, train, transpose, zero_rows)
 from .encoders import encode, glorot, init_encoder
 
 OBJECTIVES = ("dgi", "graphmae")
@@ -139,8 +138,7 @@ def masked_reconstruction_loss(encoder_state, graph, config, mask, weights=None)
     x_masked = row_substitute(x, mask, config.mask_token)
     h = encode(encoder_state, graph, features_override=x_masked)
     h = zero_rows(h, mask)  # re-mask before decoding
-    x_hat = add_bias(matmul(spmm(graph.normalized_adjacency, h), config.w_dec),
-                     config.b_dec)
+    x_hat = matmul(spmm(graph.normalized_adjacency, h), config.w_dec, bias=config.b_dec)
     return scaled_cosine_error(gather_rows(x, mask), gather_rows(x_hat, mask),
                                config.gamma, weights)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gadkit.cli import config_from_dict, main
+from gadkit.cli import build_parser, config_from_dict, main
 from gadkit.data import SyntheticSpec
 
 
@@ -201,3 +201,22 @@ def test_graph_level_passes_an_explicit_zero_through(tmp_path, flag, match):
               "--mode", "end2end", "--downsample-class", "0",
               "--keep-fraction", "0.5", "--train-ratio", "0.25",
               "--epochs", "3", flag, "0"])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("ablate-shuffle", "--ratios", ""),
+    ("ablate-shuffle", "--ratios", "0.5,x"),
+    ("sweep-labels", "--counts", "1,,5")])
+def test_a_bad_list_item_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--synthetic", flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_list_flags_parse_to_lists_with_their_defaults():
+    parser = build_parser()
+    assert parser.parse_args(["ablate-shuffle", "--synthetic"]).ratios == [
+        0.25, 0.5, 0.75, 1.0]
+    assert parser.parse_args(["sweep-labels", "--synthetic"]).counts == [1, 5, 20]
+    assert parser.parse_args(["sweep-labels", "--counts", "3,7"]).counts == [3, 7]

@@ -1,11 +1,12 @@
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from gadkit.data import (SyntheticSpec, generate_synthetic, load_dataset,
                          make_full_split, make_semi_split, save_dataset)
-from gadkit.graph import LABEL_UNKNOWN, graph_stats
+from gadkit.graph import LABEL_UNKNOWN, build_graph, graph_stats
 
 from conftest import random_graph
 
@@ -194,3 +195,89 @@ def test_full_split_small_class_rejected():
 
     with pytest.raises(ValueError, match="train_ratio"):
         make_full_split(g, 1.2, seed=0)
+
+
+def _loop_generate_synthetic(spec):
+    """generate_synthetic as first written: (u, v) tuples from per-pair and
+    per-clique loops, one feature draw per contextual anomaly."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.num_nodes
+    sizes = spec.resolved_blocks()
+    offsets = np.cumsum((0,) + sizes[:-1])
+    block_mean = spec.block_feature_gap * np.repeat(
+        np.arange(len(sizes)), sizes).astype(np.float64)
+    features = (block_mean[:, None]
+                + spec.feature_noise * rng.standard_normal((n, spec.feature_dim)))
+    n_anom = int(round(spec.anomaly_fraction * n))
+    anomalies = rng.choice(n, size=n_anom, replace=False)
+    if spec.contextual and spec.structural:
+        n_struct = int(round(spec.structural_fraction * n_anom))
+    else:
+        n_struct = n_anom if spec.structural else 0
+    context_nodes = anomalies[n_struct:] if spec.contextual else anomalies[n_anom:]
+    for v in context_nodes:
+        features[v] = (block_mean[v] + spec.feature_shift
+                       + spec.feature_noise * rng.standard_normal(spec.feature_dim))
+    edges = []
+    for i in range(len(sizes)):
+        for j in range(i, len(sizes)):
+            p = spec.intra_p if i == j else spec.inter_p
+            if p <= 0.0:
+                continue
+            if offsets[i] == offsets[j]:
+                mask = np.triu(rng.random((sizes[i], sizes[i])) < p, k=1)
+            else:
+                mask = rng.random((sizes[i], sizes[j])) < p
+            iu, ju = np.where(mask)
+            edges.extend(zip(iu + offsets[i], ju + offsets[j]))
+    if n_struct:
+        q = spec.clique_size
+        if q < 2 or q > n_struct:
+            raise ValueError(f"clique size {q} infeasible for {n_struct} structural anomalies")
+        order = rng.permutation(anomalies[:n_struct])
+        groups = [order[k:k + q] for k in range(0, n_struct, q)]
+        if len(groups) > 1 and groups[-1].size < 2:
+            groups[-2] = np.concatenate([groups[-2], groups[-1]])
+            groups.pop()
+        for grp in groups:
+            for a in range(grp.size):
+                for b in range(a + 1, grp.size):
+                    edges.append((grp[a], grp[b]))
+    labels = np.zeros(n, dtype=np.int64)
+    labels[anomalies] = 1
+    return build_graph(edges, features, labels)
+
+
+@st.composite
+def _synthetic_specs(draw):
+    # blocks of one node and probabilities of 0 and 1 included
+    sizes = draw(st.lists(st.integers(1, 25), min_size=1, max_size=5)
+                 .filter(lambda s: sum(s) >= 2))
+    return SyntheticSpec(
+        num_nodes=sum(sizes), num_blocks=len(sizes),
+        block_sizes=tuple(sizes) if draw(st.booleans()) else (),
+        intra_p=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        inter_p=draw(st.sampled_from([0.0, 0.02, 0.2])),
+        anomaly_fraction=draw(st.floats(0.01, 0.49)),
+        feature_dim=draw(st.integers(1, 4)),
+        block_feature_gap=draw(st.sampled_from([0.0, 0.7])),
+        clique_size=draw(st.integers(2, 6)),
+        structural_fraction=draw(st.floats(0.0, 1.0)),
+        contextual=draw(st.booleans()), structural=draw(st.booleans()),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_synthetic_specs())
+def test_synthetic_matches_its_loop_form_byte_for_byte(spec):
+    try:
+        expect = _loop_generate_synthetic(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            generate_synthetic(spec)
+        return
+    got = generate_synthetic(spec)
+    for name in ("indptr", "indices", "features", "labels"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()

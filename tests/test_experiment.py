@@ -428,3 +428,87 @@ def test_sweep_rejects_a_bad_count_before_running_any(tmp_path, monkeypatch):
         sweep_labeled_anomalies(tiny_config(out_dir=str(tmp_path)), [1, 59])
     assert calls == []
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: ablation_shuffle_ratio(cfg, []),
+    lambda cfg: sweep_labeled_anomalies(cfg, [])], ids=["ablation", "sweep"])
+def test_an_empty_list_is_rejected_before_the_graph_loads(tmp_path, monkeypatch, call):
+    loads = []
+    monkeypatch.setattr(ex, "load_config_graph", loads.append)
+    with pytest.raises(ValueError, match="no .* given"):
+        call(tiny_config(out_dir=str(tmp_path / "out")))
+    assert loads == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_ablation_and_sweep_take_a_generator_like_its_list(tmp_path):
+    config = tiny_config(trials=1, epochs=6, pretrain_epochs=4)
+    for sweep, points in ((ablation_shuffle_ratio, [0.5, 1.0]),
+                          (sweep_labeled_anomalies, [2, 4])):
+        listed, _ = sweep(replace(config, out_dir=str(tmp_path / "l")), points)
+        generated, _ = sweep(replace(config, out_dir=str(tmp_path / "g")),
+                             (p for p in points))
+        assert generated == listed
+
+
+def test_an_ablation_runs_every_trial_of_every_ratio_on_one_pool(monkeypatch):
+    pools, trials = [], []
+    real_trial = ex.run_trial
+
+    class CountingPool(ex.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def counting(graph, config, seed):
+        trials.append((config.shuffle_ratio, seed))
+        return real_trial(graph, config, seed)
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(ex, "run_trial", counting)
+    rows, _ = ablation_shuffle_ratio(
+        tiny_config(trials=3, workers=2, epochs=6, pretrain_epochs=4), [0.5, 1.0])
+    assert [r for r, _ in rows] == [0.5, 1.0]
+    assert pools == [2]
+    assert sorted(trials) == [(r, s) for r in (0.5, 1.0) for s in range(3)]
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in Path(root).rglob("*") if p.is_file()}
+
+
+def test_ablation_and_sweep_files_identical_between_one_and_two_workers(tmp_path):
+    config = tiny_config(trials=2, epochs=6, pretrain_epochs=4)
+    for workers in (1, 2):
+        cfg = replace(config, workers=workers)
+        ablation_shuffle_ratio(replace(cfg, out_dir=str(tmp_path / f"a{workers}")),
+                               [0.5, 1.0])
+        sweep_labeled_anomalies(replace(cfg, out_dir=str(tmp_path / f"s{workers}")),
+                                [2, 4])
+    for name in ("a", "s"):
+        serial = _tree(tmp_path / f"{name}1")
+        # the CSV, and per point aggregate.json and 2 trials of 4 files each
+        assert len(serial) == 1 + 2 * (1 + 2 * 4)
+        assert _tree(tmp_path / f"{name}2") == serial
+
+
+def test_a_point_whose_trials_all_fail_raises_after_the_points_before_it_are_written(
+        tmp_path, monkeypatch):
+    real = ex.run_trial
+
+    def failing_at_one(graph, config, seed):
+        if config.shuffle_ratio == 1.0:
+            raise RuntimeError("synthetic failure")
+        return real(graph, config, seed)
+
+    monkeypatch.setattr(ex, "run_trial", failing_at_one)
+    config = tiny_config(trials=2, workers=2, epochs=6, pretrain_epochs=4,
+                         out_dir=str(tmp_path))
+    with pytest.raises(RuntimeError, match="all trials failed"):
+        with pytest.warns(UserWarning, match="2 of 2 trials failed"):
+            ablation_shuffle_ratio(config, [0.5, 1.0, 0.25])
+    written = {replace(config, shuffle_ratio=0.5).config_hash()}
+    assert set(os.listdir(tmp_path)) == written
+    assert Path(tmp_path, *written, "aggregate.json").exists()

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gadkit import pretrain as pt
-from gadkit.autodiff import Tensor, gather_rows, scaled_cosine_error
-from gadkit.encoders import EncoderConfig, init_encoder
+from gadkit.autodiff import (Tensor, add_bias, gather_rows, matmul,
+                             row_substitute, scaled_cosine_error, spmm, zero_rows)
+from gadkit.encoders import EncoderConfig, encode, init_encoder
 from gadkit.graph import build_graph
 from gadkit.pretrain import (DgiConfig, MaeConfig, corruption_plan, dgi_corrupt,
                              dgi_loss, graphmae_loss, pretrain_run)
@@ -235,3 +236,29 @@ def test_loss_curve_csv(tmp_path):
     path = tmp_path / "losses.csv"
     save_loss_curve([0.5, 0.25], str(path))
     assert path.read_text() == "epoch,loss\n0,0.5\n1,0.25\n"
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gin"])
+def test_decoder_bias_in_matmul_matches_add_bias_bit_for_bit(monkeypatch, kind):
+    calls = []
+
+    def add_bias_decoder_loss(encoder_state, graph, config, mask, weights=None):
+        # the decoder as first written, with its bias in a separate add_bias
+        calls.append(mask)
+        x = Tensor(graph.features)
+        h = encode(encoder_state, graph,
+                   features_override=row_substitute(x, mask, config.mask_token))
+        x_hat = add_bias(matmul(spmm(graph.normalized_adjacency, zero_rows(h, mask)),
+                                config.w_dec), config.b_dec)
+        return scaled_cosine_error(gather_rows(x, mask), gather_rows(x_hat, mask),
+                                   config.gamma, weights)
+
+    g = pretrain_graph(seed=2)
+    cfg = EncoderConfig(kind=kind, input_dim=6, hidden_dim=8, activation="relu")
+    fused = pretrain_run(g, cfg, "graphmae", epochs=15, seed=3)
+    monkeypatch.setattr(pt, "masked_reconstruction_loss", add_bias_decoder_loss)
+    separate = pretrain_run(g, cfg, "graphmae", epochs=15, seed=3)
+    assert len(calls) == 15
+    assert fused.losses == separate.losses
+    for a, b in zip(fused.encoder.params(), separate.encoder.params()):
+        assert a.values.tobytes() == b.values.tobytes()
