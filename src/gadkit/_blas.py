@@ -8,6 +8,7 @@ also decides how some products are split, and so their last bits.
 then restores the count it found. It reaches OpenBLAS's own get/set functions through ctypes;
 threadpoolctl does the same for every BLAS it can find, but is not a
 dependency. When no setter is found every function here does nothing.
+`keep_heap` is the one other process setting trials run under.
 """
 
 from contextlib import contextmanager
@@ -67,6 +68,19 @@ def set_threads(n):
     api = _api()
     if api is not None:
         api[1](n)
+
+
+@functools.cache
+def keep_heap():
+    """Once per process, on glibc: blocks under 32 MiB come from the heap and
+    up to 64 MiB of its freed top stays mapped. A training step frees its
+    tape; without this glibc hands those pages back and the next step faults
+    them in again, a quarter of a serial trial's time and as long as the
+    machine's load makes it. Without mallopt this does nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 @contextmanager

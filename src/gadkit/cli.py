@@ -12,15 +12,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .autodiff import ACTIVATIONS
 from .data import DatasetPaths, SyntheticSpec, generate_synthetic, save_dataset
-from .diagnostics import classify_density, k_hop_reachable_ratio
+from .diagnostics import classify_density
 from .encoders import ENCODER_KINDS, EncoderConfig
 from .experiment import (PARADIGMS, ExperimentConfig, SplitRegime,
                          ablation_shuffle_ratio, default_activation,
-                         grid_search, load_config_graph, run_experiment,
+                         grid_search, load_config_graph, make_split,
+                         run_experiment, split_reachability,
                          sweep_labeled_anomalies)
 from .graph import graph_stats
 from .graphlevel import downsample_class, graphlevel_pipeline, load_collection
@@ -104,25 +103,26 @@ def _add_experiment_flags(p):
     p.add_argument("--out", dest="out_dir", help="output directory (default: runs)")
 
 
-def _dataset_from_args(args):
-    if args.synthetic:
-        return SyntheticSpec(**_given(args, SyntheticSpec))
-    if not (args.edges and args.features):
-        raise SystemExit("either --synthetic or --edges/--features is required")
-    return DatasetPaths(edges=args.edges, features=args.features,
-                        labels=args.labels)
+def _dataset_from_args(args, base=None):
+    """The flags' dataset over base, a config's dataset (None without one); the
+    synthetic flags override only their own fields of a synthetic dataset."""
+    if args.synthetic or (isinstance(base, SyntheticSpec) and not args.edges):
+        spec = base if isinstance(base, SyntheticSpec) else SyntheticSpec()
+        return dataclasses.replace(spec, **_given(args, SyntheticSpec))
+    if _given(args, SyntheticSpec) or not (args.features if args.edges else base):
+        raise SystemExit("a dataset is required (--synthetic, --edges/--features or "
+                         "--config), and the synthetic flags need a synthetic one")
+    return DatasetPaths(args.edges, args.features, args.labels) if args.edges else base
 
 
 def _config_from_args(args):
+    base = ExperimentConfig(dataset=None, out_dir="runs")  # dataset from flags
     if args.config:
         with open(args.config) as fh:
             base = config_from_dict({"out_dir": "runs", **json.load(fh)})
-    else:
-        base = ExperimentConfig(dataset=_dataset_from_args(args), out_dir="runs")
-    if args.synthetic or args.edges:
-        base = dataclasses.replace(base, dataset=_dataset_from_args(args))
     split = dataclasses.replace(base.split, **_given(args, SplitRegime))
-    return dataclasses.replace(base, split=split, **_given(args, ExperimentConfig))
+    return dataclasses.replace(base, dataset=_dataset_from_args(args, base.dataset),
+                               split=split, **_given(args, ExperimentConfig))
 
 
 def _print_aggregate(result):
@@ -173,14 +173,9 @@ def cmd_diagnose(args):
         "avg_degree_anomaly": stats.avg_degree_anomaly,
         "density_class": density.category,
     }
-    anomalies = np.flatnonzero(graph.labels == 1)
-    n = config.split.n_anom
-    if anomalies.size > n:
-        rng = np.random.default_rng(config.base_seed)
-        labeled = np.sort(rng.choice(anomalies, size=n, replace=False))
-        rest = np.setdiff1d(anomalies, labeled)
-        rep = k_hop_reachable_ratio(graph, labeled, rest, k_max=config.k_hops)
-        report["reachability"] = rep.to_dict()
+    if (graph.labels == 1).any():  # trial 0's split, as run makes it
+        split = make_split(graph, config, config.base_seed)
+        report["reachability"] = split_reachability(graph, config, split).to_dict()
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0
 

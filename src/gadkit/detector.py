@@ -202,9 +202,8 @@ def score_nodes(encoder, classifier, graph, node_subset):
         return ScoreVector(nodes=nodes, scores=np.empty(0))
     if nodes.min() < 0 or nodes.max() >= graph.num_nodes:
         raise ValueError("node subset index out of range")
-    h = encode(encoder, graph).values[nodes]
-    logits = classifier_logits(h, classifier).values[:, 0]
-    return ScoreVector(nodes=nodes, scores=_probabilities(logits))
+    embeddings = encode(encoder, graph).values
+    return FitResult(classifier, lambda idx: embeddings[idx]).scores(nodes)
 
 
 def save_scores(score_vec, labels, path):

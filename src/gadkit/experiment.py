@@ -6,7 +6,9 @@ bit-identical (wall time is kept in memory only, never persisted).
 Layout: <out>/<config-hash>/trial_<t>/{scores.csv, losses.csv,
 reachability.json, metrics.json} plus <out>/<config-hash>/aggregate.json;
 a trial that raised leaves only trial_<t>/error.txt, its traceback.
-A trial scores its test nodes with its fitted detector (FitResult.scores).
+A trial measures its split's R_k (split_reachability) before it trains, so
+a split with no test anomaly or a k_hops below 1 fails the trial at once;
+it then scores its test nodes with its fitted detector (FitResult.scores).
 
 A run, an ablation, a sweep and a grid's validation trials each hand one
 list of configs to one trial map (a grid's winner then runs as a run). With
@@ -32,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from ._blas import single_threaded
+from ._blas import keep_heap, single_threaded
 from .autodiff import EPOCHS, LR
 from .data import (SEMI_ANOMALIES, SEMI_NORMALS, SyntheticSpec,
                    generate_synthetic, load_dataset, make_full_split,
@@ -142,11 +144,20 @@ def load_config_graph(config):
                         config.dataset.labels)
 
 
-def _make_split(graph, config, seed):
+def make_split(graph, config, seed):
+    """The split of config's trial at seed (trial t's seed is base_seed + t)."""
     if config.split.regime == "semi":
         return make_semi_split(graph, n_anom=config.split.n_anom,
                                n_norm=config.split.n_norm, seed=seed)
     return make_full_split(graph, config.split.train_ratio, seed=seed)
+
+
+def split_reachability(graph, config, split):
+    """R_1..R_{k_hops} of split's training anomalies against its test
+    anomalies (in test order); raises ValueError when either set is empty."""
+    test_anomalies = split.test[graph.labels[split.test] == 1]
+    return k_hop_reachable_ratio(graph, split.train_anomalies, test_anomalies,
+                                 k_max=config.k_hops)
 
 
 def _train_models(graph, config, split, seed):
@@ -182,7 +193,7 @@ class TrialResult:
     val_auprc: float
     hop_ranks: dict
     far_rank: float | None
-    reachability: object  # ReachabilityReport or None
+    reachability: object  # ReachabilityReport
     losses: list
     scores: object  # ScoreVector over test nodes
     wall_time: float
@@ -194,35 +205,22 @@ class TrialResult:
                                              "val_auprc", "hop_ranks", "config_hash")}
         if self.far_rank is not None:
             out["far_rank"] = self.far_rank
-        if self.reachability is not None:
-            out["R"] = list(self.reachability.ratios)
+        out["R"] = list(self.reachability.ratios)
         return out
 
 
 def run_trial(graph, config, seed):
     started = time.perf_counter()
-    split = _make_split(graph, config, seed)
+    split = make_split(graph, config, seed)
+    report = split_reachability(graph, config, split)
     fit, losses = _train_models(graph, config, split, seed)
 
-    test_nodes = split.test
-    sv = fit.scores(test_nodes)
-    y_test = (graph.labels[test_nodes] == 1).astype(np.int64)
-
-    report = None
-    hop_ranks = {}
-    far_rank = None
-    anomaly_pos = np.flatnonzero(y_test == 1)
-    if anomaly_pos.size:
-        report = k_hop_reachable_ratio(graph, split.train_anomalies,
-                                       test_nodes[anomaly_pos],
-                                       k_max=config.k_hops)
-        hop_of = {int(pos): int(h) for pos, h in zip(anomaly_pos, report.hops)}
-        hop_ranks = hop_avg_rank(sv.scores, hop_of)
-        norm = normalized_ranks(sv.scores)
-        far = [norm[pos] for pos, h in hop_of.items()
-               if h == UNREACHABLE or h >= 3]
-        if far:
-            far_rank = float(np.mean(far))
+    sv = fit.scores(split.test)
+    y_test = (graph.labels[split.test] == 1).astype(np.int64)
+    # the i-th test anomaly is report's i-th unlabeled anomaly
+    hop_of = dict(zip(np.flatnonzero(y_test).tolist(), report.hops.tolist()))
+    norm = normalized_ranks(sv.scores)
+    far = [norm[pos] for pos, h in hop_of.items() if h == UNREACHABLE or h >= 3]
 
     return TrialResult(
         seed=seed,
@@ -230,8 +228,8 @@ def run_trial(graph, config, seed):
         auprc=auprc(sv.scores, y_test),
         val_auroc=_val_auroc(graph, fit),
         val_auprc=fit.val_auprc,
-        hop_ranks=hop_ranks,
-        far_rank=far_rank,
+        hop_ranks=hop_avg_rank(sv.scores, hop_of),
+        far_rank=float(np.mean(far)) if far else None,
         reachability=report,
         losses=losses,
         scores=sv,
@@ -253,16 +251,11 @@ def aggregate_trials(results):
     far = [r.far_rank for r in results if r.far_rank is not None]
     if far:
         agg["far_rank"] = _mean_std(far)
-    with_r = [r for r in results if r.reachability is not None]
-    if with_r:
-        k_max = len(with_r[0].reachability.ratios)
-        for k in range(1, k_max + 1):
-            agg[f"r{k}"] = _mean_std([r.reachability.ratios[k - 1] for r in with_r])
-    buckets = sorted({b for r in results for b in r.hop_ranks})
-    if buckets:
-        agg["hop_ranks"] = {
-            b: _mean_std([r.hop_ranks[b] for r in results if b in r.hop_ranks])
-            for b in buckets}
+    for k in range(1, len(results[0].reachability.ratios) + 1):
+        agg[f"r{k}"] = _mean_std([r.reachability.ratios[k - 1] for r in results])
+    agg["hop_ranks"] = {
+        b: _mean_std([r.hop_ranks[b] for r in results if b in r.hop_ranks])
+        for b in sorted({b for r in results for b in r.hop_ranks})}
     return agg
 
 
@@ -306,9 +299,8 @@ def _write_outcome(trial_dir, graph, result, exc):
     losses_path = os.path.join(trial_dir, "losses.csv")
     save_loss_curve(result.losses, losses_path + ".tmp")
     os.replace(losses_path + ".tmp", losses_path)
-    if result.reachability is not None:
-        _atomic_write(os.path.join(trial_dir, "reachability.json"),
-                      result.reachability.to_json())
+    _atomic_write(os.path.join(trial_dir, "reachability.json"),
+                  result.reachability.to_json())
     _atomic_write(os.path.join(trial_dir, "metrics.json"),
                   json.dumps(result.metrics_dict(), sort_keys=True))
 
@@ -344,7 +336,8 @@ def _map_trials(fn, graph, configs):
     BLAS is held to one thread either way: with more, OpenBLAS splits the
     long inner dimension of the weight-gradient products over its threads,
     which changes their last bits, so trials would depend on the worker
-    count (and on the machine's cores).
+    count (and on the machine's cores). Inline trials keep the heap mapped
+    (_blas.keep_heap); trial threads' heaps would each keep their own peak.
     """
     _ = graph.adjacency, graph.normalized_adjacency
 
@@ -358,6 +351,7 @@ def _map_trials(fn, graph, configs):
     jobs = [(config, t) for config in configs for t in range(config.trials)]
     with single_threaded():
         if configs[0].workers == 1:
+            keep_heap()
             outcomes = [attempt(job) for job in jobs]
         else:
             with ThreadPoolExecutor(max_workers=configs[0].workers) as pool:
@@ -408,7 +402,7 @@ def _record(graph, config, outcomes):
 
 def _validation_only(graph, config, seed):
     """Train at one seed and report validation metrics; never touches test."""
-    split = _make_split(graph, config, seed)
+    split = make_split(graph, config, seed)
     fit, _ = _train_models(graph, config, split, seed)
     return fit.val_auprc, _val_auroc(graph, fit)
 

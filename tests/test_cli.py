@@ -60,6 +60,33 @@ def test_diagnose_subcommand(tmp_path, capsys):
     assert len(payload["reachability"]["R"]) == 3
 
 
+@pytest.mark.parametrize("regime", [["--split-regime", "semi"],
+                                    ["--split-regime", "full", "--train-ratio", "0.4"]],
+                         ids=["semi", "full"])
+def test_diagnose_reports_the_reachability_of_run_trial_0(tmp_path, capsys, regime):
+    data = ["--synthetic", "--nodes", "300", "--anomaly-fraction", "0.2",
+            "--clique-size", "4", "--seed", "5", *regime]
+    assert main(["diagnose", *data]) == 0
+    diagnosed = json.loads(capsys.readouterr().out)["reachability"]
+    assert main(["run", *data, "--paradigm", "end2end", "--hidden", "4",
+                 "--epochs", "2", "--trials", "1", "--out", str(tmp_path)]) == 0
+    run_dir = json.loads(capsys.readouterr().out)["config_hash"]
+    measured = json.loads((tmp_path / run_dir / "trial_0" / "reachability.json")
+                          .read_text())
+    assert diagnosed == measured
+
+
+def test_diagnose_without_labels_reports_no_reachability(tmp_path, capsys):
+    assert main(["gen-synthetic", "--synthetic", "--nodes", "300",
+                 "--anomaly-fraction", "0.2", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--edges", str(tmp_path / "edges.txt"),
+                 "--features", str(tmp_path / "features.csv")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["density_class"] in ("sparse", "dense", "over-sparse")
+    assert "reachability" not in payload
+
+
 def test_config_file_with_flag_overrides(tmp_path, capsys):
     config = {
         "dataset": {"synthetic": {"num_nodes": 300, "anomaly_fraction": 0.2,
@@ -79,6 +106,31 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     assert payload["config"]["paradigm"] == "end2end"
     assert payload["config"]["epochs"] == 5  # flag wins
     assert payload["config"]["base_seed"] == 3
+
+
+@pytest.mark.parametrize("synthetic", [["--synthetic"], []], ids=["synthetic", "bare"])
+def test_synthetic_flags_override_only_their_fields_of_a_config(
+        tmp_path, capsys, synthetic):
+    spec = {"num_nodes": 300, "anomaly_fraction": 0.2, "clique_size": 4,
+            "feature_dim": 6}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": {"synthetic": spec},
+                                "paradigm": "end2end", "hidden_dim": 4,
+                                "epochs": 2, "trials": 1}))
+    rc = main(["run", "--config", str(path), *synthetic, "--nodes", "400",
+               "--out", str(tmp_path / "r")])
+    assert rc == 0
+    dataset = json.loads(capsys.readouterr().out)["config"]["dataset"]["synthetic"]
+    assert dataset == {**dataset, **spec, "num_nodes": 400}
+
+
+def test_synthetic_flags_on_a_files_dataset_are_a_usage_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": {"paths": {"edges": "e.txt",
+                                                      "features": "f.csv"}}}))
+    for argv in (["--config", str(path)], ["--edges", "e.txt", "--features", "f.csv"]):
+        with pytest.raises(SystemExit, match="the synthetic flags need"):
+            main(["run", *argv, "--nodes", "400", "--out", str(tmp_path)])
 
 
 def test_config_file_trials_seed_and_out_dir_apply_without_flags(

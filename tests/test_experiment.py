@@ -257,6 +257,50 @@ def test_grid_failure_raises_and_restores_blas_threads(monkeypatch, blas_threads
     assert _blas.threads() == blas_threads
 
 
+@pytest.mark.parametrize("workers, kept", [(1, 1), (2, 0)])
+def test_inline_trials_keep_the_heap_and_trial_threads_do_not(
+        monkeypatch, workers, kept):
+    calls = []
+    monkeypatch.setattr(ex, "keep_heap", lambda: calls.append(1))
+    config = tiny_config(trials=2, workers=workers)
+    outcomes = ex._map_trials(lambda graph, config, seed: seed,
+                              ex.load_config_graph(config), [config])
+    assert outcomes == [[(0, 0, None), (1, 1, None)]]
+    assert len(calls) == kept
+
+
+# an epoch's worth of temporaries: each step allocates and frees 256 KB to
+# 9.6 MB arrays, and counts the minor page faults that cost
+_STEPS = """
+import resource, sys
+import numpy as np
+from gadkit import _blas
+if sys.argv[1] == "keep":
+    _blas.keep_heap()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    for cols in (16, 64, 600):
+        a = np.ones((2000, cols)); b = a * 2.0; c = b + a
+        del a, b, c
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or os.confstr("CS_GNU_LIBC_VERSION") is None,
+                    reason="keep_heap sets glibc's mallopt")
+def test_kept_heap_stops_steps_faulting_their_pages_in_again():
+    import subprocess
+    src = str(Path(ex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    faults = {mode: int(subprocess.run(
+        [sys.executable, "-c", _STEPS, mode], env=env, check=True,
+        capture_output=True, text=True).stdout) for mode in ("plain", "keep")}
+    # plain, glibc trims and re-faults some 2,400 pages every step; kept,
+    # the pages are faulted in once
+    assert faults["keep"] * 10 < faults["plain"]
+
+
 def test_end2end_paradigm_runs():
     result = run_experiment(tiny_config(paradigm="end2end", trials=1))
     assert 0.0 <= result.aggregate["metrics"]["auroc"]["mean"] <= 1.0
@@ -512,3 +556,17 @@ def test_a_point_whose_trials_all_fail_raises_after_the_points_before_it_are_wri
     written = {replace(config, shuffle_ratio=0.5).config_hash()}
     assert set(os.listdir(tmp_path)) == written
     assert Path(tmp_path, *written, "aggregate.json").exists()
+
+
+@pytest.mark.parametrize("overrides, match", [
+    # 40 training and 20 validation anomalies leave none of the 60 to test
+    ({"split": SplitRegime(n_anom=40)}, "unlabeled anomaly set is empty"),
+    ({"k_hops": 0}, "k_max must be >= 1")], ids=["no-test-anomaly", "k_hops-0"])
+def test_a_trial_whose_split_has_no_reachability_fails_before_training(
+        monkeypatch, overrides, match):
+    trained = []
+    monkeypatch.setattr(ex, "_train_models", lambda *args: trained.append(args))
+    with pytest.raises(RuntimeError, match=match):
+        with pytest.warns(UserWarning, match="2 of 2 trials failed"):
+            run_experiment(tiny_config(trials=2, **overrides))
+    assert trained == []
