@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 
-from ._blas import single_threaded
+from ._blas import keep_heap, single_threaded
 
 
 class NonFiniteError(ValueError):
@@ -486,10 +486,15 @@ def train(params, loss_fn, epochs, lr, validate=None):
     Returns (losses, best) with best = (score, epoch), or None without
     validate. A non-finite value raises RuntimeError naming the epoch.
     It holds OpenBLAS to one thread (see _blas), since the thread count
-    changes the last bits of the weight-gradient products.
+    changes the last bits of the weight-gradient products. On the main
+    thread it keeps the heap (_blas.keep_heap), so a step's freed tape is
+    not faulted in again by the next; a pooled trial thread's heap would
+    keep its own peak, so there it is left as it is.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if threading.current_thread() is threading.main_thread():
+        keep_heap()
     params = list(params)
     opt = Adam(params, lr=lr)
     losses = []

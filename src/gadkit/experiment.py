@@ -337,7 +337,9 @@ def _map_trials(fn, graph, configs):
     long inner dimension of the weight-gradient products over its threads,
     which changes their last bits, so trials would depend on the worker
     count (and on the machine's cores). Inline trials keep the heap mapped
-    (_blas.keep_heap); trial threads' heaps would each keep their own peak.
+    (_blas.keep_heap), as autodiff.train does on the main thread; here it
+    also covers a serial map started from another thread. Trial threads'
+    heaps would each keep their own peak, so a pool leaves them as they are.
     """
     _ = graph.adjacency, graph.normalized_adjacency
 

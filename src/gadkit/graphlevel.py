@@ -71,7 +71,10 @@ class GraphCollection:
 
 def downsample_class(collection, target_class, keep_fraction=0.10, seed=0):
     """Keep floor(keep_fraction * count) graphs of the target class, labeled
-    anomalous; every other graph survives unchanged and is labeled normal."""
+    anomalous; every other graph survives unchanged and is labeled normal.
+    keep_fraction must lie in (0, 1]."""
+    if not 0.0 < keep_fraction <= 1.0:  # also rejects NaN
+        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     class_ids = np.asarray(collection.class_ids)
     target_pos = np.flatnonzero(class_ids == target_class)
     if target_pos.size == 0:

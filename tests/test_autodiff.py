@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 import numpy as np
@@ -554,6 +556,17 @@ def test_train_without_validate_ends_at_the_last_step():
         opt.step()
     assert p.values.tobytes() == q.values.tobytes()
     assert losses[-1] == loss.item()
+
+
+def test_train_keeps_the_heap_on_the_main_thread_and_not_on_a_pool(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ad, "keep_heap", lambda: calls.append(1))
+    p, loss_fn = _quadratic(np.ones((1, 3)))
+    ad.train([p], loss_fn, 2, 0.1)
+    assert len(calls) == 1
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(ad.train, [p], loss_fn, 2, 0.1).result(timeout=60)
+    assert len(calls) == 1
 
 
 def test_train_rejects_zero_epochs():

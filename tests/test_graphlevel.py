@@ -72,6 +72,14 @@ def test_downsample_errors():
         downsample_class(coll, 0, keep_fraction=0.01)
 
 
+@pytest.mark.parametrize("fraction", [1.5, float("nan"), 0.0, -0.1])
+def test_downsample_rejects_keep_fraction_outside_unit_interval(fraction):
+    # 1.5 used to reach numpy's "larger sample than population", NaN
+    # "cannot convert float NaN to integer"; 1.0 is test_downsample_keep_all
+    with pytest.raises(ValueError, match="keep_fraction"):
+        downsample_class(toy_collection(10, 10), 0, keep_fraction=fraction)
+
+
 def test_readout_single_node_graph():
     g = build_graph([], np.array([[1.0, -2.0]]))
     enc = init_encoder(EncoderConfig(kind="gcn", input_dim=2, hidden_dim=3), 0)

@@ -1,3 +1,8 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -262,3 +267,30 @@ def test_decoder_bias_in_matmul_matches_add_bias_bit_for_bit(monkeypatch, kind):
     assert fused.losses == separate.losses
     for a, b in zip(fused.encoder.params(), separate.encoder.params()):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+# a direct 20-epoch DGI + GIN pre-training after a warm-up, counting the
+# minor page faults it takes
+_DIRECT_PRETRAIN = """
+import resource
+from gadkit import EncoderConfig, SyntheticSpec, generate_synthetic, pretrain_run
+graph = generate_synthetic(SyntheticSpec())
+enc = EncoderConfig(kind="gin", input_dim=graph.features.shape[1], activation="prelu")
+pretrain_run(graph, enc, "dgi", epochs=2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pretrain_run(graph, enc, "dgi", epochs=20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or os.confstr("CS_GNU_LIBC_VERSION") is None,
+                    reason="keep_heap sets glibc's mallopt")
+def test_direct_pretraining_does_not_fault_its_tape_in_again():
+    src = str(Path(pt.__file__).resolve().parents[1])
+    faults = int(subprocess.run(
+        [sys.executable, "-c", _DIRECT_PRETRAIN],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True).stdout)
+    # with glibc trimming the heap after every step this took about 80,000
+    assert faults < 5000
