@@ -138,8 +138,7 @@ def cmd_run(args):
 
 
 def cmd_grid(args):
-    grid = json.loads(args.grid)
-    result = grid_search(_config_from_args(args), grid)
+    result = grid_search(_config_from_args(args), args.grid)
     print(json.dumps({"selected": result.best_config.canonical(),
                       "rows": result.rows}, sort_keys=True, indent=1))
     _print_aggregate(result.experiment)
@@ -223,6 +222,16 @@ def _comma_list(kind):
     return parse
 
 
+def _json_object(text):
+    """argparse type: a JSON object; any other text is a usage error."""
+    if not isinstance(value := json.loads(text), dict):
+        raise ValueError(f"not a JSON object: {text}")
+    return value
+
+
+_json_object.__name__ = "JSON object"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="gadkit",
                                      description="graph anomaly detection toolkit")
@@ -236,7 +245,7 @@ def build_parser():
     p = sub.add_parser("grid", help="hyperparameter grid search")
     _add_dataset_flags(p)
     _add_experiment_flags(p)
-    p.add_argument("--grid", required=True,
+    p.add_argument("--grid", required=True, type=_json_object,
                    help='JSON grid, e.g. {"lr": [0.01, 0.005], "num_layers": [1, 2]}')
     p.set_defaults(func=cmd_grid)
 

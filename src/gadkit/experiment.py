@@ -10,10 +10,10 @@ A trial measures its split's R_k (split_reachability) before it trains, so
 a split with no test anomaly or a k_hops below 1 fails the trial at once;
 it then scores its test nodes with its fitted detector (FitResult.scores).
 
-A run, an ablation, a sweep and a grid's validation trials each hand one
-list of configs to one trial map (a grid's winner then runs as a run). With
-workers > 1 every trial of the list shares one pool of that many threads;
-with one, they run in order on the calling thread. Either way numpy's
+A run, an ablation, a sweep and a grid each hand one list of configs to one
+trial map of run_trial (a grid records only its winner). With workers > 1
+every trial of the list shares one pool of that many threads; with one,
+they run in order on the calling thread. Either way numpy's
 OpenBLAS is held to one thread while the trials run and restored afterwards,
 so trial threads and BLAS threads do not compete for the cores, and the
 worker count changes no result bit. Files are written config by config once
@@ -179,11 +179,6 @@ def _train_models(graph, config, split, seed):
     return fit, pre.losses
 
 
-def _val_auroc(graph, fit):
-    val = fit.val_scores
-    return auroc(val.scores, (graph.labels[val.nodes] == 1).astype(np.int64))
-
-
 @dataclass
 class TrialResult:
     seed: int
@@ -217,6 +212,7 @@ def run_trial(graph, config, seed):
 
     sv = fit.scores(split.test)
     y_test = (graph.labels[split.test] == 1).astype(np.int64)
+    val = fit.val_scores
     # the i-th test anomaly is report's i-th unlabeled anomaly
     hop_of = dict(zip(np.flatnonzero(y_test).tolist(), report.hops.tolist()))
     norm = normalized_ranks(sv.scores)
@@ -226,7 +222,7 @@ def run_trial(graph, config, seed):
         seed=seed,
         auroc=auroc(sv.scores, y_test),
         auprc=auprc(sv.scores, y_test),
-        val_auroc=_val_auroc(graph, fit),
+        val_auroc=auroc(val.scores, (graph.labels[val.nodes] == 1).astype(np.int64)),
         val_auprc=fit.val_auprc,
         hop_ranks=hop_avg_rank(sv.scores, hop_of),
         far_rank=float(np.mean(far)) if far else None,
@@ -402,13 +398,6 @@ def _record(graph, config, outcomes):
                             aggregate=aggregate, run_dir=run_dir)
 
 
-def _validation_only(graph, config, seed):
-    """Train at one seed and report validation metrics; never touches test."""
-    split = make_split(graph, config, seed)
-    fit, _ = _train_models(graph, config, split, seed)
-    return fit.val_auprc, _val_auroc(graph, fit)
-
-
 @dataclass
 class GridSearchResult:
     best_config: ExperimentConfig
@@ -421,35 +410,34 @@ def grid_search(config, grid):
     """Exhaustive search selecting by mean validation AUPRC.
 
     Ties break on higher validation AUROC, then smaller hidden dimension,
-    fewer layers, and finally declaration order. Test metrics are computed
-    only for the winning configuration, by a fresh experiment on the same
-    graph.
+    fewer layers, then declaration order. Only the winner's test metrics are
+    reported, from the trials it was selected on (wall_time: the grid pool's).
     """
     if not grid:
         raise ValueError("grid is empty")
-    for key in grid:
+    for key, values in grid.items():
         if key not in GRID_FIELDS:
             raise ValueError(f"cannot search over {key!r}; allowed: {GRID_FIELDS}")
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"grid values for {key!r} must be a non-empty list")
     keys = list(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
 
     graph = load_config_graph(config)
     configs = [replace(config, **dict(zip(keys, combo))) for combo in combos]
-    outcomes = _map_trials(_validation_only, graph, configs)
-    rows = []
-    for index, (combo, cfg, trials) in enumerate(zip(combos, configs, outcomes)):
-        for _, _, exc in trials:
-            if exc is not None:
-                raise exc
-        rows.append({**dict(zip(keys, combo)), "index": index,
-                     "val_auprc": float(np.mean([res[0] for _, res, _ in trials])),
-                     "val_auroc": float(np.mean([res[1] for _, res, _ in trials])),
-                     "hidden_dim": cfg.hidden_dim, "num_layers": cfg.num_layers})
+    outcomes = _map_trials(run_trial, graph, configs)
+    for _, _, exc in itertools.chain(*outcomes):
+        if exc is not None:
+            raise exc
+    rows = [{**dict(zip(keys, combo)), "index": index,
+             "val_auprc": float(np.mean([res.val_auprc for _, res, _ in trials])),
+             "val_auroc": float(np.mean([res.val_auroc for _, res, _ in trials])),
+             "hidden_dim": cfg.hidden_dim, "num_layers": cfg.num_layers}
+            for index, (combo, cfg, trials) in enumerate(zip(combos, configs, outcomes))]
 
     best = min(rows, key=lambda r: (-r["val_auprc"], -r["val_auroc"],
                                     r["hidden_dim"], r["num_layers"], r["index"]))
-    best_config = configs[best["index"]]
-    experiment = _run_on_graph(graph, [best_config])[0]
+    experiment = _record(graph, configs[best["index"]], outcomes[best["index"]])
 
     header = keys + ["val_auprc", "val_auroc"]
     _write_csv(config, "grid.csv", header,
@@ -461,7 +449,7 @@ def grid_search(config, grid):
         _atomic_write(os.path.join(config.out_dir, "selection_trace.json"),
                       json.dumps(trace, sort_keys=True, indent=1))
 
-    return GridSearchResult(best_config=best_config, best_index=best["index"],
+    return GridSearchResult(best_config=experiment.config, best_index=best["index"],
                             rows=rows, experiment=experiment)
 
 
@@ -497,6 +485,8 @@ def sweep_labeled_anomalies(config, counts):
     counts = [int(count) for count in counts]
     if not counts:
         raise ValueError("no labeled-anomaly counts given")
+    if min(counts) < 1:
+        raise ValueError(f"labeled-anomaly count {min(counts)} is below 1")
     graph = load_config_graph(config)
     available = int((graph.labels == 1).sum())
     for count in counts:

@@ -266,6 +266,14 @@ def test_a_bad_list_item_is_a_usage_error(capsys, command, flag, value):
     assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["{bad", "[1]"], ids=["not-json", "not-object"])
+def test_a_malformed_grid_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["grid", "--synthetic", "--grid", value])
+    assert exit_info.value.code == 2
+    assert "argument --grid: invalid JSON object value" in capsys.readouterr().err
+
+
 def test_list_flags_parse_to_lists_with_their_defaults():
     parser = build_parser()
     assert parser.parse_args(["ablate-shuffle", "--synthetic"]).ratios == [

@@ -32,6 +32,14 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def real_trial():
+    """One real TrialResult on tiny_config's graph, for stubs of run_trial
+    to copy with the validation metrics they need."""
+    config = tiny_config(trials=1, epochs=6, pretrain_epochs=4)
+    return ex.run_trial(ex.load_config_graph(config), config, 0)
+
+
 def test_hash_stable_and_sensitive():
     a = tiny_config()
     assert a.config_hash() == tiny_config().config_hash()
@@ -217,7 +225,7 @@ def test_trial_scores_identical_between_one_and_two_workers(tmp_path):
 
 def test_grid_runs_its_trials_on_the_pool_with_the_same_rows(
         tmp_path, monkeypatch, blas_threads):
-    real = ex._validation_only
+    real = ex.run_trial
     seen = []
 
     def recording(graph, config, seed):
@@ -225,7 +233,7 @@ def test_grid_runs_its_trials_on_the_pool_with_the_same_rows(
         seen.append((_blas.threads(), on_main))
         return real(graph, config, seed)
 
-    monkeypatch.setattr(ex, "_validation_only", recording)
+    monkeypatch.setattr(ex, "run_trial", recording)
     config = tiny_config(trials=2, epochs=6, pretrain_epochs=4)
     grid = {"lr": [0.01, 0.005], "num_layers": [1, 2]}
     serial = grid_search(replace(config, out_dir=str(tmp_path / "s")), grid)
@@ -241,16 +249,17 @@ def test_grid_runs_its_trials_on_the_pool_with_the_same_rows(
                 == Path(tmp_path, "p", name).read_bytes())
 
 
-def test_grid_failure_raises_and_restores_blas_threads(monkeypatch, blas_threads):
+def test_grid_failure_raises_and_restores_blas_threads(
+        monkeypatch, blas_threads, real_trial):
     seen = []
 
     def failing(graph, config, seed):
         seen.append(_blas.threads())
         if config.lr == 0.005:
             raise RuntimeError("synthetic failure")
-        return 0.5, 0.5
+        return replace(real_trial, val_auprc=0.5, val_auroc=0.5, seed=seed)
 
-    monkeypatch.setattr(ex, "_validation_only", failing)
+    monkeypatch.setattr(ex, "run_trial", failing)
     with pytest.raises(RuntimeError, match="synthetic failure"):
         grid_search(tiny_config(trials=2, workers=2), {"lr": [0.01, 0.005]})
     assert seen == [1] * 4
@@ -319,14 +328,14 @@ def test_grid_singleton_returns_it():
     assert len(result.rows) == 1
 
 
-def test_grid_full_table(tmp_path, monkeypatch):
-    # stub the trainer so the 9-point grid is instant and the selection
+def test_grid_full_table(tmp_path, monkeypatch, real_trial):
+    # stub the trials so the 9-point grid is instant and the selection
     # target is known: make one combo dominate on validation AUPRC
     def stub(graph, config, seed):
         score = 1.0 if (config.lr == 0.005 and config.num_layers == 3) else 0.2
-        return score, 0.5
+        return replace(real_trial, val_auprc=score, val_auroc=0.5, seed=seed)
 
-    monkeypatch.setattr(ex, "_validation_only", stub)
+    monkeypatch.setattr(ex, "run_trial", stub)
     config = tiny_config(trials=1, out_dir=str(tmp_path))
     result = grid_search(config, {"lr": [0.01, 0.005, 0.001],
                                   "num_layers": [1, 2, 3]})
@@ -341,8 +350,9 @@ def test_grid_full_table(tmp_path, monkeypatch):
                for row in trace["rows"] for k in row)
 
 
-def test_grid_tiebreaks_prefer_smaller_models(monkeypatch):
-    monkeypatch.setattr(ex, "_validation_only", lambda g, c, s: (0.7, 0.5))
+def test_grid_tiebreaks_prefer_smaller_models(monkeypatch, real_trial):
+    monkeypatch.setattr(ex, "run_trial", lambda g, c, s: replace(
+        real_trial, val_auprc=0.7, val_auroc=0.5, seed=s))
     result = grid_search(tiny_config(trials=1), {"hidden_dim": [32, 8],
                                                  "num_layers": [3, 1]})
     assert result.best_config.hidden_dim == 8
@@ -354,6 +364,35 @@ def test_grid_rejects_bad_keys_and_empty():
         grid_search(tiny_config(), {})
     with pytest.raises(ValueError, match="cannot search"):
         grid_search(tiny_config(), {"trials": [1, 2]})
+
+
+@pytest.mark.parametrize("grid", [{"lr": []}, {"lr": 0.01}, {"encoder_kind": "gin"}],
+                         ids=["empty", "scalar", "string"])
+def test_grid_values_must_be_non_empty_lists(monkeypatch, grid):
+    loads = []
+    monkeypatch.setattr(ex, "load_config_graph", loads.append)
+    with pytest.raises(ValueError, match=repr(next(iter(grid)))):
+        grid_search(tiny_config(), {"num_layers": [1, 2], **grid})
+    assert loads == []
+
+
+def test_grid_trains_each_trial_once_and_measures_its_split_first(monkeypatch):
+    trained = []
+    train = ex._train_models
+
+    def counting(*args):
+        trained.append(args)
+        return train(*args)
+
+    monkeypatch.setattr(ex, "_train_models", counting)
+    config = tiny_config(trials=2, epochs=6, pretrain_epochs=4)
+    grid_search(config, {"lr": [0.01, 0.005]})
+    # the winner is recorded from the trials it was selected on
+    assert len(trained) == 4
+    trained.clear()
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        grid_search(replace(config, k_hops=0), {"lr": [0.01, 0.005]})
+    assert trained == []
 
 
 def test_ablation_rows_and_cross_check(tmp_path):
@@ -392,6 +431,13 @@ def test_sweep_labels_validates():
             tiny_config(split=SplitRegime(regime="full")), [1])
     with pytest.raises(ValueError, match="exceeds"):
         sweep_labeled_anomalies(tiny_config(), [59])  # 60 anomalies total
+
+
+def test_sweep_labels_rejects_a_count_below_one_before_it_runs(tmp_path):
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="count 0 is below 1"):
+        sweep_labeled_anomalies(tiny_config(out_dir=str(out_dir)), [5, 0])
+    assert not out_dir.exists()
 
 
 def test_sweep_rows_match_independent_runs():
