@@ -53,7 +53,7 @@ GRID_FIELDS = ("lr", "hidden_dim", "num_layers", "activation", "encoder_kind",
                "epochs", "pretrain_epochs", "shuffle_ratio", "mask_ratio",
                "sce_gamma")
 
-# declared search space; grids usually draw from here but may override
+# the paper's declared search space; a grid names its own values
 DEFAULT_SEARCH_SPACE = {
     "lr": [0.01, 0.005, 0.001],
     "hidden_dim": [32, 64],
@@ -263,10 +263,10 @@ def _atomic_write(path, text):
 
 def _write_csv(config, name, header, rows):
     """rows under header, to out_dir/name when out_dir is set, else nowhere;
-    a float cell is its repr, any other cell its str."""
+    a float cell (numpy's too) is its plain float repr, any other cell its str."""
     if config.out_dir:
         lines = [",".join(header)]
-        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+        lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
                   for row in rows]
         _atomic_write(os.path.join(config.out_dir, name), "\n".join(lines) + "\n")
 
@@ -336,7 +336,14 @@ def _map_trials(fn, graph, configs):
     (_blas.keep_heap), as autodiff.train does on the main thread; here it
     also covers a serial map started from another thread. Trial threads'
     heaps would each keep their own peak, so a pool leaves them as they are.
+    A config repeated in configs (same config_hash) raises ValueError
+    before any trial runs.
     """
+    first = {}
+    for i, config in enumerate(configs):
+        if (j := first.setdefault(config.config_hash(), i)) != i:
+            raise ValueError(f"configs {j} and {i} are the same config "
+                             f"({config.config_hash()})")
     _ = graph.adjacency, graph.normalized_adjacency
 
     def attempt(job):

@@ -115,19 +115,14 @@ def build_graph(edges, features, labels=None):
         bad = edges[(edges < 0) | (edges >= n)][0]
         raise ValueError(f"edge endpoint {bad} out of range for {n} nodes")
 
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    both = np.vstack([edges, edges[:, ::-1]])
-    if both.size:
-        both = np.unique(both, axis=0)
-    src, dst = both[:, 0], both[:, 1]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    # np.unique sorts rows lexicographically, so neighbor lists are ascending.
+    u, v = edges[edges[:, 0] != edges[:, 1]].T
+    # entry (row, col) as the key row * n + col: sorted keys run row by row,
+    # each row's columns ascending
+    keys = np.unique(np.concatenate([u * n + v, v * n + u]))
     return Graph(
         num_nodes=n,
-        indptr=_freeze(indptr),
-        indices=_freeze(dst),
+        indptr=_freeze(np.searchsorted(keys, np.arange(n + 1) * n)),
+        indices=_freeze(keys % n),
         features=_freeze(features),
         labels=_freeze(labels),
     )
@@ -162,16 +157,14 @@ def normalize_adjacency(g):
     n = g.num_nodes
     deg = g.degrees.astype(np.float64)
 
-    counts = g.degrees + 1  # room for the diagonal entry
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(counts)
     nodes = np.arange(n)
-    row = np.concatenate([np.repeat(nodes, g.degrees), nodes])
-    col = np.concatenate([g.indices, nodes])
-    order = np.lexsort((col, row))  # by row, then column within a row
-    row, col = row[order], col[order]
+    # A's keys row * n + col (as in build_graph) and the diagonal's, in order
+    keys = np.sort(np.concatenate([np.repeat(nodes, g.degrees) * n + g.indices,
+                                   nodes * (n + 1)]))
+    row, col = np.divmod(keys, n)
     weights = 1.0 / np.sqrt((deg[row] + 1.0) * (deg[col] + 1.0))
-    return _frozen_csr(weights, col, indptr)
+    # row r gains one entry, its diagonal, so it starts r entries later
+    return _frozen_csr(weights, col, g.indptr + np.arange(n + 1))
 
 
 def cached_normalized_adjacency(g):
@@ -192,15 +185,7 @@ def multi_source_bfs_hops(g, sources):
     dist[frontier] = 0
     d = 0
     while frontier.size:
-        starts = g.indptr[frontier]
-        counts = g.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # gather all neighbor slots of the frontier in one vectorized sweep
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        slots = np.repeat(starts, counts) + (np.arange(total) - offsets)
-        neigh = g.indices[slots]
+        neigh = g.adjacency[frontier].indices  # the frontier's rows of A only
         fresh = np.unique(neigh[dist[neigh] == UNREACHABLE])
         d += 1
         dist[fresh] = d

@@ -16,6 +16,7 @@ trials, so its scores do not depend on the machine's core count.
 
 from dataclasses import dataclass
 import functools
+import itertools
 import json
 import os
 
@@ -76,7 +77,8 @@ def downsample_class(collection, target_class, keep_fraction=0.10, seed=0):
     if not 0.0 < keep_fraction <= 1.0:  # also rejects NaN
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     class_ids = np.asarray(collection.class_ids)
-    target_pos = np.flatnonzero(class_ids == target_class)
+    target = class_ids == target_class
+    target_pos = np.flatnonzero(target)
     if target_pos.size == 0:
         raise ValueError(f"class {target_class!r} absent from collection")
     keep = int(target_pos.size * keep_fraction)
@@ -84,18 +86,11 @@ def downsample_class(collection, target_class, keep_fraction=0.10, seed=0):
         raise ValueError(f"keep fraction {keep_fraction} retains no graphs "
                          f"of class {target_class!r}")
     rng = np.random.default_rng(seed)
-    kept = set(rng.choice(target_pos, size=keep, replace=False).tolist())
-
-    graphs, classes, labels = [], [], []
-    for i, g in enumerate(collection.graphs):
-        if class_ids[i] == target_class and i not in kept:
-            continue
-        graphs.append(g)
-        classes.append(class_ids[i])
-        labels.append(1 if class_ids[i] == target_class else 0)
-    return GraphCollection(graphs=tuple(graphs),
-                           class_ids=np.asarray(classes),
-                           labels=np.asarray(labels, dtype=np.int64))
+    kept = ~target
+    kept[rng.choice(target_pos, size=keep, replace=False)] = True
+    return GraphCollection(graphs=tuple(itertools.compress(collection.graphs, kept)),
+                           class_ids=class_ids[kept],
+                           labels=target[kept].astype(np.int64))
 
 
 def graph_readout(encoder, graph):

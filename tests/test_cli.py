@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -253,6 +254,23 @@ def test_graph_level_passes_an_explicit_zero_through(tmp_path, flag, match):
               "--mode", "end2end", "--downsample-class", "0",
               "--keep-fraction", "0.5", "--train-ratio", "0.25",
               "--epochs", "3", flag, "0"])
+
+
+def test_graph_level_passes_its_training_flags_through(tmp_path, monkeypatch):
+    import gadkit.cli as cli
+    calls = []
+
+    def stub(collection, mode, enc, **options):
+        calls.append(options)
+        return types.SimpleNamespace(auroc=0.5, auprc=0.5, val_auprc=0.5)
+
+    monkeypatch.setattr(cli, "graphlevel_pipeline", stub)
+    assert main(["graph-level", "--manifest", _tiny_manifest(tmp_path), "--mode", "graphmae",
+                 "--downsample-class", "0", "--keep-fraction", "0.5", "--seed", "3",
+                 "--gamma", "3.0", "--shuffle-ratio", "0.75", "--mask-ratio", "0.25",
+                 "--lr", "0.002", "--pretrain-epochs", "7"]) == 0
+    assert calls == [{"seed": 3, "gamma": 3.0, "shuffle_ratio": 0.75, "mask_ratio": 0.25,
+                      "lr": 0.002, "pretrain_epochs": 7}]
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -395,6 +395,38 @@ def test_grid_trains_each_trial_once_and_measures_its_split_first(monkeypatch):
     assert trained == []
 
 
+def test_grid_csv_writes_numpy_floats_as_plain_floats(tmp_path, monkeypatch, real_trial):
+    monkeypatch.setattr(ex, "run_trial", lambda g, c, s: replace(
+        real_trial, val_auprc=0.7, val_auroc=0.5, seed=s))
+    grid_search(tiny_config(trials=1, out_dir=str(tmp_path)),
+                {"lr": list(np.array([0.01, 0.005]))})
+    assert Path(tmp_path, "grid.csv").read_text() == (
+        "lr,val_auprc,val_auroc\n0.01,0.7,0.5\n0.005,0.7,0.5\n")
+
+
+def _resplit(config, **fields):
+    return replace(config, split=replace(config.split, **fields))
+
+
+@pytest.mark.parametrize("protocol, repeated", [
+    (lambda c: grid_search(c, {"lr": [0.01, 0.01]}), lambda c: replace(c, lr=0.01)),
+    # DGI resolves None to PReLU, so both points hash alike
+    (lambda c: grid_search(c, {"activation": [None, "prelu"]}),
+     lambda c: replace(c, activation="prelu")),
+    (lambda c: sweep_labeled_anomalies(c, [5, 5]), lambda c: _resplit(c, n_anom=5)),
+    (lambda c: ablation_shuffle_ratio(c, [0.5, 0.5]),
+     lambda c: replace(c, shuffle_ratio=0.5))],
+    ids=["grid-lr", "grid-activation", "sweep", "ablation"])
+def test_a_repeated_config_raises_before_any_trial_runs(monkeypatch, protocol, repeated):
+    trained = []
+    monkeypatch.setattr(ex, "_train_models", lambda *args: trained.append(args))
+    config = tiny_config(trials=1)
+    match = rf"configs 0 and 1 are the same config \({repeated(config).config_hash()}\)"
+    with pytest.raises(ValueError, match=match):
+        protocol(config)
+    assert trained == []
+
+
 def test_ablation_rows_and_cross_check(tmp_path):
     config = tiny_config(trials=1, out_dir=str(tmp_path))
     rows, results = ablation_shuffle_ratio(config, [0.25, 1.0])

@@ -34,6 +34,33 @@ def test_build_matches_dense_oracle():
     assert np.array_equal(dense_adjacency(g), dense)
 
 
+def _unique_rows_build(n, edges):
+    """build_graph's CSR arrays in their former construction: a 2-D
+    np.unique over both directions, then np.add.at row counts."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    both = np.vstack([edges, edges[:, ::-1]])
+    if both.size:
+        both = np.unique(both, axis=0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, both[:, 0] + 1, 1)
+    return np.cumsum(indptr), np.ascontiguousarray(both[:, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))))
+def test_build_arrays_match_unique_rows_oracle_bytes(case):
+    n, edges = case  # n = 1 and [] give no edge; repeats and self-loops are drawn
+    edges = edges + [(v, u) for u, v in edges[::2]]  # some edges in both directions
+    g = build_graph(edges, np.zeros((n, 1)))
+    for got, want in zip((g.indptr, g.indices), _unique_rows_build(n, edges)):
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    for u in range(n):
+        assert np.all(np.diff(g.neighbors(u)) > 0)
+
+
 def test_build_idempotent_under_reingestion():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 40)

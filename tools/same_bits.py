@@ -13,7 +13,10 @@ that tree's src/ and writes every result to files:
 - a labeled-anomaly sweep, a shuffle-ratio ablation and a grid search, each
   at workers 1 and 2;
 - `graphlevel_pipeline` scores, losses and metrics for every mode over GCN
-  and GIN.
+  and GIN;
+- the graph layer itself, for `SyntheticSpec()`, a 10,000-node spec and
+  each graph of the collection: the CSR arrays, Â's arrays and the BFS hops
+  from the graph's anomalies, one .npy file each (its header holds the dtype).
 
 The node-level runs use a 300-node synthetic graph, the graph-level ones a
 60-graph collection. Every file written is hashed except error.txt, whose
@@ -47,6 +50,8 @@ SWEEP_COUNTS = (5, 20)
 SHUFFLE_RATIOS = (0.5, 1.0)
 GRID = {"lr": [0.01, 0.005], "encoder_kind": ["gcn", "gin"]}
 KINDS = ("gcn", "gin")
+# the large benchmark's density at 10,000 nodes
+LARGE_SPEC = dict(num_nodes=10000, intra_p=0.0014, inter_p=0.00006)
 
 
 def tree_hashes(root):
@@ -65,7 +70,7 @@ def differing(base, work):
 
 def _collection(gk):
     """60 graphs of 6-12 nodes in two classes of edge density and feature
-    mean; class 1 is cut to a third and labeled anomalous."""
+    mean."""
     rng = np.random.default_rng(0)
     graphs, classes = [], []
     for i in range(60):
@@ -74,8 +79,20 @@ def _collection(gk):
         edges = np.argwhere(np.triu(rng.random((n, n)) < (0.2, 0.45)[cls], k=1))
         graphs.append(gk.build_graph(edges, cls + rng.standard_normal((n, 4))))
         classes.append(cls)
-    collection = gk.GraphCollection(graphs=tuple(graphs), class_ids=np.asarray(classes))
-    return gk.downsample_class(collection, 1, keep_fraction=1 / 3, seed=0)
+    return gk.GraphCollection(graphs=tuple(graphs), class_ids=np.asarray(classes))
+
+
+def _write_graph_layer(gk, graph, dest):
+    """graph's CSR arrays, its Â's and its BFS hops from its anomalies (from
+    node 0 when it has none), one .npy file each under dest."""
+    dest.mkdir(parents=True)
+    adj = gk.normalize_adjacency(graph)
+    sources = np.flatnonzero(graph.labels == 1)
+    arrays = {"indptr": graph.indptr, "indices": graph.indices,
+              "norm_indptr": adj.indptr, "norm_indices": adj.indices, "norm_data": adj.data,
+              "hops": gk.multi_source_bfs_hops(graph, sources if sources.size else [0])}
+    for name, arr in arrays.items():
+        np.save(dest / f"{name}.npy", arr)
 
 
 def run_matrix(src, out):
@@ -103,6 +120,14 @@ def run_matrix(src, out):
         ex.grid_search(replace(base, workers=workers, out_dir=str(at / "grid")), GRID)
 
     collection = _collection(gk)
+    graphs = {"synthetic_default": gk.generate_synthetic(gk.SyntheticSpec()),
+              "synthetic_large": gk.generate_synthetic(gk.SyntheticSpec(**LARGE_SPEC)),
+              **{f"collection_{i}": g for i, g in enumerate(collection.graphs)}}
+    for name, graph in graphs.items():
+        _write_graph_layer(gk, graph, out / "graph" / name)
+
+    # class 1 is cut to a third and labeled anomalous
+    collection = gk.downsample_class(collection, 1, keep_fraction=1 / 3, seed=0)
     (out / "graphlevel").mkdir(parents=True)
     for mode in ex.PARADIGMS:
         for kind in KINDS:
