@@ -15,11 +15,10 @@ import sys
 from .autodiff import ACTIVATIONS
 from .data import DatasetPaths, SyntheticSpec, generate_synthetic, save_dataset
 from .diagnostics import classify_density
-from .encoders import ENCODER_KINDS, EncoderConfig
+from .encoders import ENCODER_KINDS
 from .experiment import (PARADIGMS, ExperimentConfig, SplitRegime,
-                         ablation_shuffle_ratio, default_activation,
-                         grid_search, load_config_graph, make_split,
-                         run_experiment, split_reachability,
+                         ablation_shuffle_ratio, grid_search, load_config_graph,
+                         make_split, run_experiment, split_reachability,
                          sweep_labeled_anomalies)
 from .graph import graph_stats
 from .graphlevel import downsample_class, graphlevel_pipeline, load_collection
@@ -195,20 +194,19 @@ def cmd_gen_synthetic(args):
 
 
 def cmd_graph_level(args):
+    config = ExperimentConfig(dataset=None, paradigm=args.mode,
+                              **_given(args, ExperimentConfig))
     collection = load_collection(args.manifest)
-    # only the given flags are passed, so the defaults of downsample_class,
-    # EncoderConfig and graphlevel_pipeline apply to the rest
+    # keep_fraction and train_ratio are passed only when given, so the
+    # defaults of downsample_class and graphlevel_pipeline apply to them
     collection = downsample_class(collection, args.downsample_class, seed=args.seed,
                                   **_given(args, ["keep_fraction"]))
-    enc = EncoderConfig(input_dim=collection.feature_dim,
-                        kind=args.encoder_kind or ExperimentConfig.encoder_kind,
-                        activation=args.activation or default_activation(args.mode),
-                        **_given(args, ["hidden_dim", "num_layers"]))
-    options = _given(args, ["train_ratio", "epochs", "lr", "pretrain_epochs",
-                            "shuffle_ratio", "mask_ratio"])
-    if args.sce_gamma is not None:
-        options["gamma"] = args.sce_gamma
-    result = graphlevel_pipeline(collection, args.mode, enc, seed=args.seed, **options)
+    result = graphlevel_pipeline(
+        collection, config.paradigm, config.encoder_config(collection.feature_dim),
+        seed=args.seed, epochs=config.epochs, lr=config.lr,
+        pretrain_epochs=config.pretrain_epochs, shuffle_ratio=config.shuffle_ratio,
+        mask_ratio=config.mask_ratio, gamma=config.sce_gamma,
+        **_given(args, ["train_ratio"]))
     print(json.dumps({"auroc": result.auroc, "auprc": result.auprc,
                       "val_auprc": result.val_auprc}, sort_keys=True, indent=1))
     return 0

@@ -2,7 +2,7 @@
 
 On-disk format (language-neutral, diffable, round-trips bit-exactly):
   edges    whitespace-separated node-id pairs, one per line, '#' comments
-  features CSV of reals, one row per node
+  features CSV of finite reals, one row per node
   labels   one token per line from {0, 1, ?}
 
 The synthetic benchmark is a stochastic block model with two kinds of
@@ -11,6 +11,7 @@ and structural (dense cliques wired among anomaly nodes).
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -154,6 +155,9 @@ class SyntheticSpec:
             raise ValueError("block sizes must sum to num_nodes")
         if not 0.0 <= self.structural_fraction <= 1.0:
             raise ValueError("structural fraction must lie in [0, 1]")
+        for name in ("feature_noise", "feature_shift", "block_feature_gap"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.feature_noise <= 0.0:
             raise ValueError("feature noise must be positive")
 
@@ -259,6 +263,8 @@ def load_dataset(edge_path, feature_path, label_path=None):
                 row = [float(tok) for tok in line.split(",")]
             except ValueError:
                 raise _parse_error(feature_path, lineno, "invalid real number") from None
+            if not all(map(math.isfinite, row)):
+                raise _parse_error(feature_path, lineno, "non-finite real number")
             if width is None:
                 width = len(row)
             elif len(row) != width:

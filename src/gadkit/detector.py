@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import (EPOCHS, LR, Tensor, activation, bce_with_logits,
                        gather_rows, matmul, stable_sigmoid, train)
-from .encoders import encode, glorot, init_encoder
+from .encoders import dense, encode, init_encoder
 from .graph import LABEL_UNKNOWN
 from .metrics import auprc
 
@@ -48,12 +48,7 @@ class ClassifierState:
 
 def init_classifier(input_dim, seed):
     rng = np.random.default_rng(seed)
-    return ClassifierState(
-        w1=Tensor(glorot(rng, input_dim, input_dim), requires_grad=True),
-        b1=Tensor(np.zeros((1, input_dim)), requires_grad=True),
-        w2=Tensor(glorot(rng, input_dim, 1), requires_grad=True),
-        b2=Tensor(np.zeros((1, 1)), requires_grad=True),
-    )
+    return ClassifierState(*dense(rng, input_dim, input_dim), *dense(rng, input_dim, 1))
 
 
 def classifier_logits(h, clf):

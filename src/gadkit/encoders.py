@@ -66,24 +66,20 @@ def glorot(rng, fan_in, fan_out, shape=None):
     return rng.uniform(-bound, bound, size=shape or (fan_in, fan_out))
 
 
+def dense(rng, fan_in, fan_out):
+    """One dense layer's trainable [W, b]: Glorot-uniform W, zero (1, fan_out) b."""
+    return [Tensor(glorot(rng, fan_in, fan_out), requires_grad=True),
+            Tensor(np.zeros((1, fan_out)), requires_grad=True)]
+
+
 def init_encoder(config, seed):
     """Glorot-uniform weights, zero biases; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    layers = []
-    in_dim = config.input_dim
-    out_dim = config.hidden_dim
-    for _ in range(config.num_layers):
-        if config.kind == "gcn":
-            w = Tensor(glorot(rng, in_dim, out_dim), requires_grad=True)
-            b = Tensor(np.zeros((1, out_dim)), requires_grad=True)
-            layers.append([w, b])
-        else:
-            w1 = Tensor(glorot(rng, in_dim, out_dim), requires_grad=True)
-            b1 = Tensor(np.zeros((1, out_dim)), requires_grad=True)
-            w2 = Tensor(glorot(rng, out_dim, out_dim), requires_grad=True)
-            b2 = Tensor(np.zeros((1, out_dim)), requires_grad=True)
-            layers.append([w1, b1, w2, b2])
-        in_dim = out_dim
+    dims = [config.input_dim] + [config.hidden_dim] * config.num_layers
+    if config.kind == "gcn":
+        layers = [dense(rng, a, b) for a, b in zip(dims, dims[1:])]
+    else:
+        layers = [dense(rng, a, b) + dense(rng, b, b) for a, b in zip(dims, dims[1:])]
     return EncoderState(config, seed, layers)
 
 

@@ -64,11 +64,6 @@ DEFAULT_SEARCH_SPACE = {
 }
 
 
-def default_activation(paradigm):
-    """The encoder activation when none is set: PReLU for DGI, else ReLU."""
-    return "prelu" if paradigm == "dgi" else "relu"
-
-
 @dataclass(frozen=True)
 class SplitRegime:
     regime: str = "semi"  # "semi" | "full"
@@ -111,9 +106,16 @@ class ExperimentConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def resolved_activation(self):
+        """The encoder activation; when none is set, PReLU for DGI, else ReLU."""
         if self.activation is not None:
             return self.activation
-        return default_activation(self.paradigm)
+        return "prelu" if self.paradigm == "dgi" else "relu"
+
+    def encoder_config(self, input_dim):
+        """The EncoderConfig of this config's encoder over input_dim features."""
+        return EncoderConfig(kind=self.encoder_kind, input_dim=input_dim,
+                             hidden_dim=self.hidden_dim, num_layers=self.num_layers,
+                             activation=self.resolved_activation())
 
     def canonical(self):
         """Plain dict of every field but out_dir and workers, execution
@@ -162,10 +164,7 @@ def split_reachability(graph, config, split):
 
 def _train_models(graph, config, split, seed):
     """Returns (fit, losses): the FitResult and the encoder's loss curve."""
-    enc_config = EncoderConfig(
-        kind=config.encoder_kind, input_dim=graph.features.shape[1],
-        hidden_dim=config.hidden_dim, num_layers=config.num_layers,
-        activation=config.resolved_activation())
+    enc_config = config.encoder_config(graph.features.shape[1])
     if config.paradigm == "end2end":
         fit = end2end_run(enc_config, graph, split, epochs=config.epochs,
                           lr=config.lr, seed=seed)

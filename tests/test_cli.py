@@ -270,7 +270,25 @@ def test_graph_level_passes_its_training_flags_through(tmp_path, monkeypatch):
                  "--gamma", "3.0", "--shuffle-ratio", "0.75", "--mask-ratio", "0.25",
                  "--lr", "0.002", "--pretrain-epochs", "7"]) == 0
     assert calls == [{"seed": 3, "gamma": 3.0, "shuffle_ratio": 0.75, "mask_ratio": 0.25,
-                      "lr": 0.002, "pretrain_epochs": 7}]
+                      "lr": 0.002, "pretrain_epochs": 7, "epochs": 200}]
+
+
+@pytest.mark.parametrize("mode, act", [("dgi", "prelu"), ("graphmae", "relu"),
+                                       ("end2end", "relu")])
+def test_graph_level_builds_the_default_encoder_of_its_mode(tmp_path, monkeypatch,
+                                                            mode, act):
+    import gadkit.cli as cli
+    from gadkit.encoders import EncoderConfig
+    encoders = []
+
+    def stub(collection, mode, enc, **options):
+        encoders.append(enc)
+        return types.SimpleNamespace(auroc=0.5, auprc=0.5, val_auprc=0.5)
+
+    monkeypatch.setattr(cli, "graphlevel_pipeline", stub)
+    assert main(["graph-level", "--manifest", _tiny_manifest(tmp_path), "--mode", mode,
+                 "--downsample-class", "0", "--keep-fraction", "0.5"]) == 0
+    assert encoders == [EncoderConfig(kind="gcn", input_dim=2, activation=act)]
 
 
 @pytest.mark.parametrize("command, flag, value", [

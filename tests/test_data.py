@@ -58,6 +58,14 @@ def test_load_rejects_bad_feature_and_edge_lines(tmp_path):
         load_dataset(edges, feats)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_rejects_a_non_finite_feature_with_its_line(tmp_path, token):
+    feats = write(tmp_path / "x.csv", f"1.0,2.0\n3.0,{token}\n")
+    edges = write(tmp_path / "e.txt", "0 1\n")
+    with pytest.raises(ValueError, match=r"x\.csv:2: non-finite"):
+        load_dataset(edges, feats)
+
+
 def test_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(0)
     g = random_graph(rng, 40, feature_dim=3)
@@ -109,6 +117,13 @@ def test_synthetic_validation():
     with pytest.raises(ValueError, match="clique"):
         generate_synthetic(SyntheticSpec(num_nodes=100, anomaly_fraction=0.04,
                                          clique_size=10, seed=0))
+
+
+@pytest.mark.parametrize("field", ["feature_noise", "feature_shift", "block_feature_gap"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_synthetic_rejects_non_finite_feature_parameters(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SyntheticSpec(**{field: value})
 
 
 def test_synthetic_structural_only_keeps_features_clean():

@@ -1,9 +1,11 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from gadkit import autodiff as ad
 from gadkit.autodiff import Tape, Tensor, backward, sum_all
-from gadkit.encoders import (EncoderConfig, encode, init_encoder,
+from gadkit.detector import init_classifier
+from gadkit.encoders import (ENCODER_KINDS, EncoderConfig, encode, init_encoder,
                              load_encoder, save_encoder)
 from gadkit.graph import build_graph
 
@@ -51,6 +53,61 @@ def test_glorot_bounds():
         fan_in, fan_out = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.abs(w.values).max() <= bound
+
+
+def _reference_glorot(rng, fan_in, fan_out):
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+
+
+def _reference_encoder_layers(config, seed):
+    """The per-kind initialization loop written out by hand."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    in_dim, out_dim = config.input_dim, config.hidden_dim
+    for _ in range(config.num_layers):
+        if config.kind == "gcn":
+            layers.append([_reference_glorot(rng, in_dim, out_dim), np.zeros((1, out_dim))])
+        else:
+            w1 = _reference_glorot(rng, in_dim, out_dim)
+            w2 = _reference_glorot(rng, out_dim, out_dim)
+            layers.append([w1, np.zeros((1, out_dim)), w2, np.zeros((1, out_dim))])
+        in_dim = out_dim
+    return layers
+
+
+def _reference_classifier(input_dim, seed):
+    rng = np.random.default_rng(seed)
+    w1 = _reference_glorot(rng, input_dim, input_dim)
+    w2 = _reference_glorot(rng, input_dim, 1)
+    return [w1, np.zeros((1, input_dim)), w2, np.zeros((1, 1))]
+
+
+def _assert_same_arrays(tensors, arrays):
+    assert len(tensors) == len(arrays)
+    for t, a in zip(tensors, arrays):
+        assert t.requires_grad
+        assert t.values.dtype == a.dtype and t.values.shape == a.shape
+        assert np.array_equal(t.values, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(ENCODER_KINDS), input_dim=st.integers(1, 20),
+       hidden_dim=st.integers(1, 40), num_layers=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_initialization_matches_the_hand_written_loops(kind, input_dim, hidden_dim,
+                                                       num_layers, seed):
+    cfg = EncoderConfig(kind=kind, input_dim=input_dim, hidden_dim=hidden_dim,
+                        num_layers=num_layers)
+    state = init_encoder(cfg, seed)
+    reference = _reference_encoder_layers(cfg, seed)
+    assert len(state.layers) == len(reference)
+    for layer, ref in zip(state.layers, reference):
+        _assert_same_arrays(layer, ref)
+    _assert_same_arrays(state.params(), [a for ref in reference for a in ref])
+    clf = init_classifier(hidden_dim, seed)
+    _assert_same_arrays([clf.w1, clf.b1, clf.w2, clf.b2],
+                        _reference_classifier(hidden_dim, seed))
 
 
 def test_zero_weights_give_constant_rows():

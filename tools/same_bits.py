@@ -16,7 +16,9 @@ that tree's src/ and writes every result to files:
   and GIN;
 - the graph layer itself, for `SyntheticSpec()`, a 10,000-node spec and
   each graph of the collection: the CSR arrays, Â's arrays and the BFS hops
-  from the graph's anomalies, one .npy file each (its header holds the dtype).
+  from the graph's anomalies, one .npy file each (its header holds the dtype);
+- initial weights: `init_encoder` for GCN and GIN at two shapes and
+  `init_classifier` at two widths, one .npy file per parameter.
 
 The node-level runs use a 300-node synthetic graph, the graph-level ones a
 60-graph collection. Every file written is hashed except error.txt, whose
@@ -50,6 +52,10 @@ SWEEP_COUNTS = (5, 20)
 SHUFFLE_RATIOS = (0.5, 1.0)
 GRID = {"lr": [0.01, 0.005], "encoder_kind": ["gcn", "gin"]}
 KINDS = ("gcn", "gin")
+# (input_dim, hidden_dim, num_layers) of the encoders whose initial weights
+# are written, and the input widths of the classifiers
+ENCODER_SHAPES = ((6, 8, 2), (3, 5, 3))
+CLASSIFIER_WIDTHS = (8, 1)
 # the large benchmark's density at 10,000 nodes
 LARGE_SPEC = dict(num_nodes=10000, intra_p=0.0014, inter_p=0.00006)
 
@@ -82,17 +88,39 @@ def _collection(gk):
     return gk.GraphCollection(graphs=tuple(graphs), class_ids=np.asarray(classes))
 
 
+def _save_arrays(dest, arrays):
+    """Each array of {name: array} as dest/<name>.npy (its header holds the dtype)."""
+    dest.mkdir(parents=True)
+    for name, arr in arrays.items():
+        np.save(dest / f"{name}.npy", arr)
+
+
 def _write_graph_layer(gk, graph, dest):
     """graph's CSR arrays, its Â's and its BFS hops from its anomalies (from
     node 0 when it has none), one .npy file each under dest."""
-    dest.mkdir(parents=True)
     adj = gk.normalize_adjacency(graph)
     sources = np.flatnonzero(graph.labels == 1)
-    arrays = {"indptr": graph.indptr, "indices": graph.indices,
-              "norm_indptr": adj.indptr, "norm_indices": adj.indices, "norm_data": adj.data,
-              "hops": gk.multi_source_bfs_hops(graph, sources if sources.size else [0])}
-    for name, arr in arrays.items():
-        np.save(dest / f"{name}.npy", arr)
+    _save_arrays(dest, {
+        "indptr": graph.indptr, "indices": graph.indices,
+        "norm_indptr": adj.indptr, "norm_indices": adj.indices, "norm_data": adj.data,
+        "hops": gk.multi_source_bfs_hops(graph, sources if sources.size else [0])})
+
+
+def _write_initial_weights(gk, dest):
+    """init_encoder's weights for each kind at each of ENCODER_SHAPES and
+    init_classifier's at each of CLASSIFIER_WIDTHS, one .npy file per
+    parameter in params() order."""
+    for seed, (input_dim, hidden_dim, num_layers) in enumerate(ENCODER_SHAPES):
+        for kind in KINDS:
+            state = gk.init_encoder(gk.EncoderConfig(
+                kind=kind, input_dim=input_dim, hidden_dim=hidden_dim,
+                num_layers=num_layers), seed)
+            _save_arrays(dest / f"encoder_{kind}_{input_dim}x{hidden_dim}x{num_layers}",
+                         {f"param{i}": p.values for i, p in enumerate(state.params())})
+    for seed, width in enumerate(CLASSIFIER_WIDTHS):
+        clf = gk.detector.init_classifier(width, seed)
+        _save_arrays(dest / f"classifier_{width}",
+                     {f"param{i}": p.values for i, p in enumerate(clf.params())})
 
 
 def run_matrix(src, out):
@@ -119,6 +147,8 @@ def run_matrix(src, out):
                                           out_dir=str(at / "ablation")), SHUFFLE_RATIOS)
         ex.grid_search(replace(base, workers=workers, out_dir=str(at / "grid")), GRID)
 
+    _write_initial_weights(gk, out / "init")
+
     collection = _collection(gk)
     graphs = {"synthetic_default": gk.generate_synthetic(gk.SyntheticSpec()),
               "synthetic_large": gk.generate_synthetic(gk.SyntheticSpec(**LARGE_SPEC)),
@@ -130,10 +160,10 @@ def run_matrix(src, out):
     collection = gk.downsample_class(collection, 1, keep_fraction=1 / 3, seed=0)
     (out / "graphlevel").mkdir(parents=True)
     for mode in ex.PARADIGMS:
+        activation = ex.ExperimentConfig(dataset=None, paradigm=mode).resolved_activation()
         for kind in KINDS:
             enc = gk.EncoderConfig(kind=kind, input_dim=collection.feature_dim,
-                                   hidden_dim=TRAINING["hidden_dim"],
-                                   activation=ex.default_activation(mode))
+                                   hidden_dim=TRAINING["hidden_dim"], activation=activation)
             res = gk.graphlevel_pipeline(collection, mode, enc, train_ratio=0.2,
                                          epochs=TRAINING["epochs"],
                                          pretrain_epochs=TRAINING["pretrain_epochs"])
