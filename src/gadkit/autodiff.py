@@ -493,6 +493,8 @@ def train(params, loss_fn, epochs, lr, validate=None):
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if not 0.0 < lr < np.inf:  # also rejects NaN
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     if threading.current_thread() is threading.main_thread():
         keep_heap()
     params = list(params)

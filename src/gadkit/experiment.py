@@ -104,6 +104,10 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if not 0.0 < self.lr < np.inf:  # also rejects NaN
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not self.sce_gamma >= 1.0:  # also rejects NaN
+            raise ValueError(f"sce_gamma must be >= 1, got {self.sce_gamma}")
 
     def resolved_activation(self):
         """The encoder activation; when none is set, PReLU for DGI, else ReLU."""

@@ -4,7 +4,8 @@ Graphs are undirected and simple: input edges are symmetrized, duplicates
 collapsed, self-loops dropped. Self-loops reappear only inside the normalized
 propagation operator. Node labels use 0 = normal, 1 = anomaly,
 LABEL_UNKNOWN = -1. A graph holds its propagation operators A and Â as
-read-only scipy CSR matrices, each built once, on first use.
+read-only scipy CSR matrices, each built once, on first use. A graph is the
+disjoint union of its member graphs (`graph_ptr`); build_graph makes one.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ UNREACHABLE = -1
 class Graph:
     """Undirected attributed graph: CSR adjacency + features + labels.
 
-    Read `adjacency` (A: GIN) and `normalized_adjacency` (Â: GCN, masked
+    Member k of the graph is rows graph_ptr[k]:graph_ptr[k+1]. Read
+    `adjacency` (A: GIN) and `normalized_adjacency` (Â: GCN, masked
     decoder) once before sharing the graph between threads.
     """
 
@@ -32,6 +34,7 @@ class Graph:
     indices: np.ndarray
     features: np.ndarray
     labels: np.ndarray
+    graph_ptr: np.ndarray
 
     @property
     def num_edges(self):
@@ -125,27 +128,29 @@ def build_graph(edges, features, labels=None):
         indices=_freeze(keys % n),
         features=_freeze(features),
         labels=_freeze(labels),
+        graph_ptr=_freeze(np.array([0, n])),
     )
 
 
 def disjoint_union(graphs):
     """One Graph holding the given graphs as unconnected blocks, in order.
 
-    Node i of graphs[k] becomes node (nodes of graphs[:k]) + i, so the
-    union's A and Â are the block diagonals of the parts' operators.
+    Node i of graphs[k] becomes node graph_ptr[k] + i, so the union's A
+    and Â are the block diagonals of the parts' operators, and graphs[k]
+    is its member k.
     """
-    sizes = [g.num_nodes for g in graphs]
-    node_offsets = np.cumsum([0] + sizes[:-1])
+    ptr = np.cumsum([0] + [g.num_nodes for g in graphs])
     edge_offsets = np.cumsum([0] + [g.indices.size for g in graphs[:-1]])
     indptr = np.concatenate([np.zeros(1, dtype=np.int64)]
                             + [g.indptr[1:] + e for g, e in zip(graphs, edge_offsets)])
-    indices = np.concatenate([g.indices + o for g, o in zip(graphs, node_offsets)])
+    indices = np.concatenate([g.indices + o for g, o in zip(graphs, ptr[:-1])])
     return Graph(
-        num_nodes=sum(sizes),
+        num_nodes=int(ptr[-1]),
         indptr=_freeze(indptr),
         indices=_freeze(indices),
         features=_freeze(np.vstack([g.features for g in graphs])),
         labels=_freeze(np.concatenate([g.labels for g in graphs])),
+        graph_ptr=_freeze(ptr),
     )
 
 

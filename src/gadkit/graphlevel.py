@@ -5,11 +5,12 @@ small fraction and marked anomalous, every other graph is normal. Detection
 reuses the node-level machinery with a mean-pooled readout per graph: both
 paradigms fit through detector, and FitResult.scores scores the test graphs.
 
-The pretexts and the frozen encoder's readouts run once per epoch over the
-collection's disjoint union (`GraphCollection.union`, segmented by
-`graph_ptr`), with labels untouched. Each graph is still corrupted or masked
-on its own, drawn in collection order from one rng, and its loss weighs as
-much as any other graph's. End-to-end training reads out graph by graph.
+Pre-training is pretrain_run on the collection's disjoint union
+(`GraphCollection.union`), whose member graphs are the collection's graphs:
+each graph is corrupted or masked on its own, drawn in collection order from
+one rng, and its loss weighs as much as any other graph's, with labels
+untouched. The frozen encoder's readouts are one segment_mean over the
+union's `graph_ptr`. End-to-end training reads out graph by graph.
 The pipeline holds OpenBLAS to one thread, as experiment does for its
 trials, so its scores do not depend on the machine's core count.
 """
@@ -23,17 +24,14 @@ import os
 import numpy as np
 
 from ._blas import single_threaded
-from .autodiff import (EPOCHS, LR, activation, add, bce_with_logits,
-                       concat_rows, matmul, mean_rows, scale, segment_dot,
-                       segment_mean, train, transpose)
+from .autodiff import EPOCHS, LR, concat_rows, mean_rows, segment_mean
 from .data import load_dataset, save_dataset
 from .detector import fit_classifier, joint_fit
 from .encoders import encode
 from .graph import disjoint_union
 from .metrics import auprc, auroc
 from .pretrain import (MASK_RATIO, OBJECTIVES, SCE_GAMMA, SHUFFLE_RATIO,
-                       dgi_corrupt, draw_mask, init_pretext,
-                       masked_reconstruction_loss)
+                       pretrain_run)
 
 
 @dataclass(frozen=True)
@@ -49,6 +47,11 @@ class GraphCollection:
             raise ValueError("collection is empty")
         if len(self.class_ids) != len(self.graphs):
             raise ValueError("one class id per graph required")
+        if self.labels is not None:
+            if len(self.labels) != len(self.graphs):
+                raise ValueError(f"{len(self.labels)} labels for {len(self.graphs)} graphs")
+            if not np.isin(self.labels, (0, 1)).all():
+                raise ValueError("labels must be 0 (normal) or 1 (anomalous)")
 
     def __len__(self):
         return len(self.graphs)
@@ -58,15 +61,9 @@ class GraphCollection:
         return self.graphs[0].features.shape[1]
 
     @functools.cached_property
-    def graph_ptr(self):
-        """Node offsets into `union`: graph i is rows ptr[i]:ptr[i+1]."""
-        ptr = np.cumsum([0] + [g.num_nodes for g in self.graphs])
-        ptr.setflags(write=False)
-        return ptr
-
-    @functools.cached_property
     def union(self):
-        """All graphs as one block-diagonal Graph, built on first use."""
+        """All graphs as one block-diagonal Graph, built on first use, whose
+        member i is graphs[i]."""
         return disjoint_union(self.graphs)
 
 
@@ -120,72 +117,6 @@ def stratified_graph_split(labels, train_ratio, seed):
             np.sort(np.asarray(test)))
 
 
-def _graph_weights(sizes):
-    """Per-row weights under which a mean over all rows is the mean over
-    graphs of each graph's own mean (sizes: rows per graph)."""
-    sizes = np.asarray(sizes)
-    return np.repeat(sizes.sum() / (sizes.size * sizes), sizes)[:, None]
-
-
-def _union_corrupt(collection, ratio, rng):
-    """dgi_corrupt of each graph's features in turn, stacked in union order."""
-    return np.vstack([dgi_corrupt(g.features, ratio, rng)
-                      for g in collection.graphs])
-
-
-def _union_mask(collection, ratio, rng):
-    """draw_mask per graph in turn, as union rows; also each graph's count."""
-    masks = [draw_mask(g.num_nodes, ratio, rng) for g in collection.graphs]
-    offsets = collection.graph_ptr[:-1]
-    return (np.concatenate([m + o for m, o in zip(masks, offsets)]),
-            [m.size for m in masks])
-
-
-def _union_dgi_loss(encoder, collection, obj, rng):
-    """dgi_loss of every graph against its own summary, averaged over graphs."""
-    graph, ptr = collection.union, collection.graph_ptr
-    h_pos = encode(encoder, graph)
-    corrupted = _union_corrupt(collection, obj.shuffle_ratio, rng)
-    h_neg = encode(encoder, graph, features_override=corrupted)
-    summaries = activation(segment_mean(h_pos, ptr), "sigmoid")
-    # row g is (W s_g)^T, so node i of graph g scores h_i . W s_g
-    w_s = matmul(summaries, transpose(obj.w_disc))
-    n = graph.num_nodes
-    weights = _graph_weights(np.diff(ptr))
-    loss_pos = bce_with_logits(segment_dot(h_pos, w_s, ptr), np.ones((n, 1)), weights)
-    loss_neg = bce_with_logits(segment_dot(h_neg, w_s, ptr), np.zeros((n, 1)), weights)
-    return scale(add(loss_pos, loss_neg), 0.5)
-
-
-def _union_mae_loss(encoder, collection, obj, rng):
-    """graphmae_loss of every graph over its own mask, averaged over graphs."""
-    mask, counts = _union_mask(collection, obj.mask_ratio, rng)
-    return masked_reconstruction_loss(encoder, collection.union, obj, mask,
-                                      _graph_weights(counts))
-
-
-_UNION_LOSSES = {"dgi": _union_dgi_loss, "graphmae": _union_mae_loss}
-
-
-def _collection_pretrain(collection, encoder_config, objective, epochs, lr, seed,
-                         shuffle_ratio, mask_ratio, gamma):
-    """Pretext loss averaged over the collection's graphs: one forward and
-    one backward pass over its union per epoch."""
-    encoder, obj, _, rng = init_pretext(encoder_config, objective, seed,
-                                        shuffle_ratio, mask_ratio, gamma)
-    loss_fn = _UNION_LOSSES[objective]
-    losses, _ = train(encoder.params() + obj.params(),
-                      lambda: loss_fn(encoder, collection, obj, rng), epochs, lr)
-    encoder.freeze()
-    return encoder, losses
-
-
-def _union_readouts(encoder, collection):
-    """graph_readout of every graph, (graphs, hidden), in one pass."""
-    return segment_mean(encode(encoder, collection.union),
-                        collection.graph_ptr).values
-
-
 @dataclass
 class GraphLevelResult:
     auroc: float
@@ -210,12 +141,13 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
     train_idx, val_idx, test_idx = stratified_graph_split(labels, train_ratio, seed)
 
     if mode in OBJECTIVES:
-        encoder, losses = _collection_pretrain(
-            collection, encoder_config, mode, pretrain_epochs, lr, seed,
-            shuffle_ratio, mask_ratio, gamma)
-        fit = fit_classifier(_union_readouts(encoder, collection), train_idx,
-                             labels[train_idx], val_idx, labels[val_idx],
-                             epochs, lr, seed, standardize=False)
+        union = collection.union
+        pre = pretrain_run(union, encoder_config, mode, pretrain_epochs, lr, seed,
+                           shuffle_ratio, mask_ratio, gamma)
+        losses = pre.losses
+        readouts = segment_mean(encode(pre.encoder, union), union.graph_ptr).values
+        fit = fit_classifier(readouts, train_idx, labels[train_idx], val_idx,
+                             labels[val_idx], epochs, lr, seed, standardize=False)
     elif mode == "end2end":
         def rows(encoder, idx):
             return concat_rows([graph_readout(encoder, collection.graphs[i])

@@ -7,6 +7,11 @@ the summary and corrupted ones away. Masked reconstruction replaces a random
 node subset with a learnable token, re-masks those rows in the embedding, and
 decodes features back through a single propagation layer under scaled cosine
 error. Neither objective ever reads node labels.
+
+Both losses run member by member over a graph's members (`graph_ptr`): each
+is corrupted or masked on its own, in member order from one rng, scored
+against its own summary, and weighs equally. A graph from build_graph is one
+member, so a collection's disjoint union pre-trains through `pretrain_run`.
 """
 
 from dataclasses import dataclass
@@ -14,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (EPOCHS, LR, Tensor, activation, add, bce_with_logits,
-                       gather_rows, matmul, mean_rows, row_substitute, scale,
-                       scaled_cosine_error, spmm, train, transpose, zero_rows)
+                       gather_rows, matmul, row_substitute, scale,
+                       scaled_cosine_error, segment_dot, segment_mean, spmm,
+                       train, transpose, zero_rows)
 from .encoders import encode, glorot, init_encoder
 
 OBJECTIVES = ("dgi", "graphmae")
@@ -60,7 +66,7 @@ class MaeConfig:
     def __post_init__(self):
         if not 0.0 < self.mask_ratio < 1.0:
             raise ValueError("mask ratio must lie in (0, 1)")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:  # also rejects NaN
             raise ValueError("gamma must be >= 1")
 
     @classmethod
@@ -99,25 +105,41 @@ def dgi_corrupt(features, ratio, rng):
     return out
 
 
-def _discriminator_logits(h, w_disc, summary):
-    # D(h_i, s) = h_i^T W s, batched over nodes
-    return matmul(h, matmul(w_disc, transpose(summary)))
+def _member_weights(sizes):
+    """Per-row weights making a mean over all rows the mean of the members'
+    own means (sizes: rows per member); exactly 1.0 for one member."""
+    sizes = np.asarray(sizes)
+    return np.repeat(sizes.sum() / (sizes.size * sizes), sizes)[:, None]
+
+
+def _discriminator(w_disc, summaries, ptr):
+    """Scorer of node embeddings: D(h_i, s_g) = h_i^T W s_g for node i of
+    member g, as an (N, 1) column."""
+    if len(ptr) == 2:
+        # W s^T is formed afresh on each call: sharing one product between
+        # the positive and the negative pass changes the gradients' bits
+        return lambda h: matmul(h, matmul(w_disc, transpose(summaries)))
+    # row g is (W s_g)^T; no (N, G) product is formed
+    w_s = matmul(summaries, transpose(w_disc))
+    return lambda h: segment_dot(h, w_s, ptr)
 
 
 def dgi_loss(encoder_state, graph, config, rng):
-    """Contrastive loss: real nodes vs summary against shuffled ones, halved."""
+    """Contrastive loss: real nodes vs their member's summary against
+    shuffled ones, halved; each member weighs equally."""
     hidden = encoder_state.config.hidden_dim
     if config.w_disc.shape != (hidden, hidden):
         raise ValueError(f"discriminator is {config.w_disc.shape}, encoder hidden is {hidden}")
+    ptr = graph.graph_ptr
     h_pos = encode(encoder_state, graph)
-    corrupted = dgi_corrupt(graph.features, config.shuffle_ratio, rng)
+    corrupted = np.vstack([dgi_corrupt(graph.features[a:b], config.shuffle_ratio, rng)
+                           for a, b in zip(ptr[:-1], ptr[1:])])
     h_neg = encode(encoder_state, graph, features_override=corrupted)
-    summary = activation(mean_rows(h_pos), "sigmoid")
-    pos_logits = _discriminator_logits(h_pos, config.w_disc, summary)
-    neg_logits = _discriminator_logits(h_neg, config.w_disc, summary)
-    n = graph.num_nodes
-    loss_pos = bce_with_logits(pos_logits, np.ones((n, 1)))
-    loss_neg = bce_with_logits(neg_logits, np.zeros((n, 1)))
+    summaries = activation(segment_mean(h_pos, ptr), "sigmoid")
+    score = _discriminator(config.w_disc, summaries, ptr)
+    weights = _member_weights(np.diff(ptr))
+    loss_pos = bce_with_logits(score(h_pos), np.ones_like(weights), weights)
+    loss_neg = bce_with_logits(score(h_neg), np.zeros_like(weights), weights)
     return scale(add(loss_pos, loss_neg), 0.5)
 
 
@@ -144,9 +166,13 @@ def masked_reconstruction_loss(encoder_state, graph, config, mask, weights=None)
 
 
 def graphmae_loss(encoder_state, graph, config, rng):
-    """Masked-feature reconstruction loss over the masked rows only."""
-    mask = draw_mask(graph.num_nodes, config.mask_ratio, rng)
-    return masked_reconstruction_loss(encoder_state, graph, config, mask)
+    """Masked-feature reconstruction loss over the masked rows only, each
+    member masked on its own and weighing equally."""
+    ptr = graph.graph_ptr
+    masks = [draw_mask(b - a, config.mask_ratio, rng) + a
+             for a, b in zip(ptr[:-1], ptr[1:])]
+    return masked_reconstruction_loss(encoder_state, graph, config, np.concatenate(masks),
+                                      _member_weights([m.size for m in masks]))
 
 
 @dataclass

@@ -575,6 +575,15 @@ def test_train_rejects_zero_epochs():
         ad.train([p], loss_fn, 0, 0.1)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), 0.0, -1.0, float("inf")])
+def test_train_rejects_an_lr_that_is_not_finite_and_positive(lr):
+    p, loss_fn = _quadratic(np.ones((1, 3)))
+    before = p.values.copy()
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
+        ad.train([p], loss_fn, 3, lr)
+    assert np.array_equal(p.values, before)
+
+
 def test_train_names_the_diverging_epoch():
     p, loss_fn = _quadratic(np.ones((1, 3)))
     calls = []

@@ -151,6 +151,19 @@ def test_workers_below_one_rejected(workers):
         tiny_config(workers=workers)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), 0.0, -1.0, float("inf")])
+def test_lr_must_be_finite_and_positive(lr):
+    # -1.0 used to train by gradient ascent and record an ok run
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
+        tiny_config(lr=lr)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), 0.5])
+def test_sce_gamma_below_one_or_nan_rejected(gamma):
+    with pytest.raises(ValueError, match="sce_gamma must be >= 1"):
+        tiny_config(sce_gamma=gamma)
+
+
 def test_workers_produce_same_aggregate(tmp_path):
     serial = run_experiment(tiny_config(trials=2, out_dir=str(tmp_path / "s")))
     threaded = run_experiment(tiny_config(trials=2, workers=2,

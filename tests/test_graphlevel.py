@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gadkit.encoders import EncoderConfig, init_encoder
+from gadkit.autodiff import segment_mean
+from gadkit.encoders import EncoderConfig, encode, init_encoder
 from gadkit.graph import build_graph
-from gadkit.graphlevel import (GraphCollection, _collection_pretrain,
-                               _union_corrupt, _union_mask, _union_readouts,
-                               downsample_class, graph_readout,
+from gadkit.graphlevel import (GraphCollection, downsample_class, graph_readout,
                                graphlevel_pipeline, load_collection,
                                save_collection, stratified_graph_split)
+from gadkit.pretrain import pretrain_run
 
 
 def clique(n, rng, d=2):
@@ -78,6 +78,16 @@ def test_downsample_rejects_keep_fraction_outside_unit_interval(fraction):
     # "cannot convert float NaN to integer"; 1.0 is test_downsample_keep_all
     with pytest.raises(ValueError, match="keep_fraction"):
         downsample_class(toy_collection(10, 10), 0, keep_fraction=fraction)
+
+
+@pytest.mark.parametrize("labels", [np.arange(14) % 2, np.arange(26) % 2,
+                                    np.full(20, 2), np.full(20, -1)])
+def test_collection_rejects_labels_other_than_one_0_or_1_per_graph(labels):
+    # 14 labels for 20 graphs used to leave 6 graphs out of the AUROC, and
+    # 26 to fail later with IndexError
+    base = toy_collection(10, 10)
+    with pytest.raises(ValueError, match="labels"):
+        GraphCollection(graphs=base.graphs, class_ids=base.class_ids, labels=labels)
 
 
 def test_readout_single_node_graph():
@@ -166,8 +176,8 @@ def test_collection_pretrain_ignores_labels():
     labeled = GraphCollection(graphs=base.graphs, class_ids=base.class_ids,
                               labels=np.arange(12) % 2)
     enc_cfg = EncoderConfig(kind="gcn", input_dim=2, hidden_dim=4)
-    a, _ = _collection_pretrain(labeled, enc_cfg, "dgi", 5, 0.005, 0, 1.0, 0.5, 2.0)
-    b, _ = _collection_pretrain(flipped, enc_cfg, "dgi", 5, 0.005, 0, 1.0, 0.5, 2.0)
+    a = pretrain_run(labeled.union, enc_cfg, "dgi", 5, 0.005, 0, 1.0, 0.5, 2.0).encoder
+    b = pretrain_run(flipped.union, enc_cfg, "dgi", 5, 0.005, 0, 1.0, 0.5, 2.0).encoder
     for pa, pb in zip(a.params(), b.params()):
         assert np.array_equal(pa.values, pb.values)
 
@@ -308,33 +318,56 @@ def test_union_pretrain_matches_the_per_graph_loop(objective, kind):
     cfg = EncoderConfig(kind=kind, input_dim=3, hidden_dim=5, activation="prelu")
     args = (objective, 12, 0.01, 4, 0.6, 0.4, 2.0)
     old_enc, old_losses = _collection_pretrain_per_graph(coll, cfg, *args)
-    enc, losses = _collection_pretrain(coll, cfg, *args)
+    pre = pretrain_run(coll.union, cfg, *args)
+    enc, losses = pre.encoder, pre.losses
     assert np.allclose(losses, old_losses, rtol=1e-12, atol=0)
     old_readouts = np.vstack([graph_readout(old_enc, g).values for g in coll.graphs])
-    readouts = _union_readouts(enc, coll)
+    readouts = segment_mean(encode(enc, coll.union), coll.union.graph_ptr).values
     scale_ = np.abs(old_readouts).max()
     assert np.abs(readouts - old_readouts).max() <= 1e-12 * scale_
 
 
-def test_union_draws_are_the_per_graph_draws():
-    from gadkit.pretrain import dgi_corrupt
+def test_union_draws_are_the_per_graph_draws(monkeypatch):
+    from gadkit import pretrain
+    from gadkit.pretrain import (DgiConfig, MaeConfig, dgi_corrupt, dgi_loss,
+                                 graphmae_loss)
 
+    # the corrupted features reach the second encode of dgi_loss, the mask
+    # reaches masked_reconstruction_loss
+    seen = {}
+    encode_, reconstruct = pretrain.encode, pretrain.masked_reconstruction_loss
+
+    def spy_encode(state, graph, features_override=None):
+        seen["features"] = features_override
+        return encode_(state, graph, features_override=features_override)
+
+    def spy_reconstruct(state, graph, config, mask, weights=None):
+        seen["mask"] = mask
+        return reconstruct(state, graph, config, mask, weights)
+
+    monkeypatch.setattr(pretrain, "encode", spy_encode)
+    monkeypatch.setattr(pretrain, "masked_reconstruction_loss", spy_reconstruct)
     coll = mixed_collection()
-    ptr = coll.graph_ptr
+    union = coll.union
+    ptr = union.graph_ptr
+    enc = init_encoder(EncoderConfig(kind="gcn", input_dim=3, hidden_dim=4), 0)
     for ratio in (0.0, 0.3, 1.0):
         ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-        got = _union_corrupt(coll, ratio, ours)
+        dgi_loss(enc, union, DgiConfig.create(4, ratio, seed=0), ours)
+        got = seen["features"]
         for g, a, b in zip(coll.graphs, ptr[:-1], ptr[1:]):
             assert np.array_equal(got[a:b], dgi_corrupt(g.features, ratio, theirs))
         assert ours.random() == theirs.random()  # same stream, same position
     for ratio in (0.1, 0.5, 0.9):
         ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
-        mask, counts = _union_mask(coll, ratio, ours)
+        graphmae_loss(enc, union, MaeConfig.create(3, 4, ratio, seed=0), ours)
+        mask = seen["mask"]
         start = 0
-        for g, offset, count in zip(coll.graphs, ptr[:-1], counts):
+        for g, offset in zip(coll.graphs, ptr[:-1]):
             n = g.num_nodes
             # the draw graphmae_loss made per graph
             expect = theirs.choice(n, size=int(np.ceil(ratio * n)), replace=False)
+            count = expect.size
             assert np.array_equal(mask[start:start + count], expect + offset)
             start += count
         assert start == mask.size and ours.random() == theirs.random()
@@ -343,8 +376,8 @@ def test_union_draws_are_the_per_graph_draws():
 def test_union_operators_are_the_block_diagonals():
     coll = mixed_collection()
     union = coll.union
-    assert coll.union is union and union.num_nodes == coll.graph_ptr[-1]
-    assert np.array_equal(coll.graph_ptr,
+    assert coll.union is union and union.num_nodes == union.graph_ptr[-1]
+    assert np.array_equal(union.graph_ptr,
                           np.cumsum([0] + [g.num_nodes for g in coll.graphs]))
     assert np.array_equal(union.features, np.vstack([g.features for g in coll.graphs]))
     for name in ("adjacency", "normalized_adjacency"):

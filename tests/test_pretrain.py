@@ -3,12 +3,15 @@ from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from gadkit import pretrain as pt
-from gadkit.autodiff import (Tensor, add_bias, gather_rows, matmul,
-                             row_substitute, scaled_cosine_error, spmm, zero_rows)
+from gadkit.autodiff import (Tape, Tensor, activation, add, add_bias, backward,
+                             bce_with_logits, gather_rows, matmul, mean_rows,
+                             row_substitute, scale, scaled_cosine_error, spmm,
+                             transpose, zero_rows)
 from gadkit.encoders import EncoderConfig, encode, init_encoder
 from gadkit.graph import build_graph
 from gadkit.pretrain import (DgiConfig, MaeConfig, corruption_plan, dgi_corrupt,
@@ -106,6 +109,53 @@ def test_dgi_gradient_matches_finite_differences():
     assert_gradients_match(loss_from, arrays)
 
 
+def node_level_dgi_loss(encoder_state, graph, config, rng):
+    """dgi_loss as written for a single graph, before member graphs."""
+    h_pos = encode(encoder_state, graph)
+    corrupted = dgi_corrupt(graph.features, config.shuffle_ratio, rng)
+    h_neg = encode(encoder_state, graph, features_override=corrupted)
+    summary = activation(mean_rows(h_pos), "sigmoid")
+    pos_logits = matmul(h_pos, matmul(config.w_disc, transpose(summary)))
+    neg_logits = matmul(h_neg, matmul(config.w_disc, transpose(summary)))
+    n = graph.num_nodes
+    loss_pos = bce_with_logits(pos_logits, np.ones((n, 1)))
+    loss_neg = bce_with_logits(neg_logits, np.zeros((n, 1)))
+    return scale(add(loss_pos, loss_neg), 0.5)
+
+
+def node_level_graphmae_loss(encoder_state, graph, config, rng):
+    """graphmae_loss as written for a single graph, before member graphs."""
+    mask = pt.draw_mask(graph.num_nodes, config.mask_ratio, rng)
+    return pt.masked_reconstruction_loss(encoder_state, graph, config, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(objective=st.sampled_from(pt.OBJECTIVES), kind=st.sampled_from(["gcn", "gin"]),
+       n=st.integers(1, 12), d=st.integers(1, 4), hidden=st.integers(1, 5),
+       shuffle_ratio=st.floats(0.0, 1.0, exclude_max=True),
+       mask_ratio=st.floats(0.01, 0.99), gamma=st.floats(1.0, 3.0),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_one_member_losses_are_the_node_level_losses_bit_for_bit(
+        objective, kind, n, d, hidden, shuffle_ratio, mask_ratio, gamma, seed):
+    graph = random_graph(np.random.default_rng(seed), n, feature_dim=d)
+    cfg = EncoderConfig(kind=kind, input_dim=d, hidden_dim=hidden, activation="prelu")
+    node_level = {"dgi": node_level_dgi_loss, "graphmae": node_level_graphmae_loss}
+
+    def loss_and_grads(loss_fn):
+        encoder, obj, _, rng = pt.init_pretext(cfg, objective, seed, shuffle_ratio,
+                                               mask_ratio, gamma)
+        params = encoder.params() + obj.params()
+        with Tape() as tape:
+            loss = loss_fn(encoder, graph, obj, rng)
+        backward(tape, loss, params=params)
+        return [loss.values.tobytes()] + [p.grad.tobytes() for p in params]
+
+    assert graph.graph_ptr.tolist() == [0, n]
+    expect = loss_and_grads(node_level[objective])
+    got = loss_and_grads(dgi_loss if objective == "dgi" else graphmae_loss)
+    assert got == expect
+
+
 def test_graphmae_loss_zero_when_decoder_hits_targets():
     # identical feature rows everywhere; zero decoder weight and bias equal to
     # that row reconstruct the target exactly, so the masked SCE vanishes
@@ -180,6 +230,11 @@ def test_config_validation():
         MaeConfig.create(4, 4, gamma=0.5)
 
 
+def test_mae_config_rejects_nan_gamma():
+    with pytest.raises(ValueError, match="gamma"):
+        MaeConfig.create(4, 4, gamma=float("nan"))
+
+
 def pretrain_graph(seed=0):
     rng = np.random.default_rng(seed)
     return random_graph(rng, 100, avg_degree=4.0, feature_dim=6)
@@ -192,6 +247,14 @@ def test_pretrain_rejects_zero_epochs():
         pretrain_run(g, cfg, "dgi", epochs=0)
     with pytest.raises(ValueError, match="objective"):
         pretrain_run(g, cfg, "simclr", epochs=10)
+
+
+def test_pretrain_rejects_a_negative_lr():
+    # a negative step size used to run gradient ascent without an error
+    g = pretrain_graph()
+    cfg = EncoderConfig(kind="gcn", input_dim=6, hidden_dim=8)
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
+        pretrain_run(g, cfg, "dgi", epochs=3, lr=-1.0)
 
 
 def test_pretrain_dgi_loss_descends():

@@ -13,7 +13,8 @@ that tree's src/ and writes every result to files:
 - a labeled-anomaly sweep, a shuffle-ratio ablation and a grid search, each
   at workers 1 and 2;
 - `graphlevel_pipeline` scores, losses and metrics for every mode over GCN
-  and GIN;
+  and GIN, and for DGI and GraphMAE again with partial draws (PARTIAL_DRAWS),
+  so that each graph shuffles or masks only some of its rows;
 - the graph layer itself, for `SyntheticSpec()`, a 10,000-node spec and
   each graph of the collection: the CSR arrays, Â's arrays and the BFS hops
   from the graph's anomalies, one .npy file each (its header holds the dtype);
@@ -56,6 +57,9 @@ KINDS = ("gcn", "gin")
 # are written, and the input widths of the classifiers
 ENCODER_SHAPES = ((6, 8, 2), (3, 5, 3))
 CLASSIFIER_WIDTHS = (8, 1)
+# graph-level pretext ratios below 1: DGI shuffles half of each graph's rows,
+# GraphMAE masks 30% of them
+PARTIAL_DRAWS = dict(shuffle_ratio=0.5, mask_ratio=0.3)
 # the large benchmark's density at 10,000 nodes
 LARGE_SPEC = dict(num_nodes=10000, intra_p=0.0014, inter_p=0.00006)
 
@@ -159,20 +163,23 @@ def run_matrix(src, out):
     # class 1 is cut to a third and labeled anomalous
     collection = gk.downsample_class(collection, 1, keep_fraction=1 / 3, seed=0)
     (out / "graphlevel").mkdir(parents=True)
-    for mode in ex.PARADIGMS:
+    runs = [(mode, mode, {}) for mode in ex.PARADIGMS]
+    runs += [(f"{mode}_partial", mode, PARTIAL_DRAWS) for mode in ("dgi", "graphmae")]
+    for name, mode, ratios in runs:
         activation = ex.ExperimentConfig(dataset=None, paradigm=mode).resolved_activation()
         for kind in KINDS:
             enc = gk.EncoderConfig(kind=kind, input_dim=collection.feature_dim,
                                    hidden_dim=TRAINING["hidden_dim"], activation=activation)
             res = gk.graphlevel_pipeline(collection, mode, enc, train_ratio=0.2,
                                          epochs=TRAINING["epochs"],
-                                         pretrain_epochs=TRAINING["pretrain_epochs"])
+                                         pretrain_epochs=TRAINING["pretrain_epochs"],
+                                         **ratios)
             # json writes each float as its shortest repr, which round-trips
             record = {"auroc": res.auroc, "auprc": res.auprc,
                       "val_auprc": res.val_auprc, "losses": list(res.losses),
                       "test_index": res.test_index.tolist(),
                       "test_scores": res.test_scores.tolist()}
-            (out / "graphlevel" / f"{mode}_{kind}.json").write_text(
+            (out / "graphlevel" / f"{name}_{kind}.json").write_text(
                 json.dumps(record, sort_keys=True))
 
 
