@@ -487,9 +487,9 @@ def train(params, loss_fn, epochs, lr, validate=None):
     validate. A non-finite value raises RuntimeError naming the epoch.
     It holds OpenBLAS to one thread (see _blas), since the thread count
     changes the last bits of the weight-gradient products. On the main
-    thread it keeps the heap (_blas.keep_heap), so a step's freed tape is
-    not faulted in again by the next; a pooled trial thread's heap would
-    keep its own peak, so there it is left as it is.
+    thread, serial trials included, it keeps the heap (_blas.keep_heap), so
+    a step's freed tape is not faulted in again by the next; a pooled trial
+    thread's heap would keep its own peak, so there it is left as it is.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")

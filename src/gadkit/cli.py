@@ -17,26 +17,11 @@ from .data import DatasetPaths, SyntheticSpec, generate_synthetic, save_dataset
 from .diagnostics import classify_density
 from .encoders import ENCODER_KINDS
 from .experiment import (PARADIGMS, ExperimentConfig, SplitRegime,
-                         ablation_shuffle_ratio, grid_search, load_config_graph,
-                         make_split, run_experiment, split_reachability,
-                         sweep_labeled_anomalies)
+                         ablation_shuffle_ratio, config_from_dict, grid_search,
+                         load_config_graph, make_split, run_experiment,
+                         split_reachability, sweep_labeled_anomalies)
 from .graph import graph_stats
 from .graphlevel import downsample_class, graphlevel_pipeline, load_collection
-
-
-def config_from_dict(d):
-    """ExperimentConfig from a plain JSON-style dict."""
-    d = dict(d)
-    ds = d.pop("dataset")
-    if "synthetic" in ds:
-        dataset = SyntheticSpec(**{k: tuple(v) if k == "block_sizes" else v
-                                   for k, v in ds["synthetic"].items()})
-    elif "paths" in ds:
-        dataset = DatasetPaths(**ds["paths"])
-    else:
-        raise ValueError("dataset must contain 'synthetic' or 'paths'")
-    split = SplitRegime(**d.pop("split")) if "split" in d else SplitRegime()
-    return ExperimentConfig(dataset=dataset, split=split, **d)
 
 
 # Each flag stores under the name of the field it sets, None when not given,

@@ -34,9 +34,9 @@ import warnings
 
 import numpy as np
 
-from ._blas import keep_heap, single_threaded
+from ._blas import single_threaded
 from .autodiff import EPOCHS, LR
-from .data import (SEMI_ANOMALIES, SEMI_NORMALS, SyntheticSpec,
+from .data import (SEMI_ANOMALIES, SEMI_NORMALS, DatasetPaths, SyntheticSpec,
                    generate_synthetic, load_dataset, make_full_split,
                    make_semi_split)
 from .detector import end2end_run, finetune_run, save_scores
@@ -47,11 +47,12 @@ from .metrics import auprc, auroc, hop_avg_rank, normalized_ranks
 from .pretrain import (MASK_RATIO, SCE_GAMMA, SHUFFLE_RATIO, pretrain_run,
                        save_loss_curve)
 
-PARADIGMS = ("dgi", "graphmae", "end2end")
-
-GRID_FIELDS = ("lr", "hidden_dim", "num_layers", "activation", "encoder_kind",
-               "epochs", "pretrain_epochs", "shuffle_ratio", "mask_ratio",
-               "sce_gamma")
+# the pre-training fields each paradigm reads; every paradigm reads GRID_FIELDS
+PRETEXT_FIELDS = {"dgi": ("pretrain_epochs", "shuffle_ratio"),
+                  "graphmae": ("pretrain_epochs", "mask_ratio", "sce_gamma"),
+                  "end2end": ()}
+PARADIGMS = tuple(PRETEXT_FIELDS)
+GRID_FIELDS = ("lr", "hidden_dim", "num_layers", "activation", "encoder_kind", "epochs")
 
 # the paper's declared search space; a grid names its own values
 DEFAULT_SEARCH_SPACE = {
@@ -141,6 +142,22 @@ class ExperimentConfig:
     def config_hash(self):
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def config_from_dict(d):
+    """ExperimentConfig from a plain JSON-style dict, such as canonical()
+    gives (config_from_dict(c.canonical()) has c's config_hash)."""
+    d = dict(d)
+    ds = d.pop("dataset")
+    if "synthetic" in ds:
+        dataset = SyntheticSpec(**{k: tuple(v) if k == "block_sizes" else v
+                                   for k, v in ds["synthetic"].items()})
+    elif "paths" in ds:
+        dataset = DatasetPaths(**ds["paths"])
+    else:
+        raise ValueError("dataset must contain 'synthetic' or 'paths'")
+    split = SplitRegime(**d.pop("split")) if "split" in d else SplitRegime()
+    return ExperimentConfig(dataset=dataset, split=split, **d)
 
 
 def load_config_graph(config):
@@ -326,19 +343,17 @@ def run_experiment(config):
     return _run_on_graph(load_config_graph(config), [config])[0]
 
 
-def _map_trials(fn, graph, configs):
-    """Per config, [(t, fn(graph, config, seed), None) or (t, None, exception)]
-    over its trials t, where seed is config.base_seed + t.
+def _map_trials(graph, configs):
+    """Per config, [(t, run_trial(graph, config, seed), None) or
+    (t, None, exception)] over its trials t, where seed is config.base_seed + t.
 
     The graph's operators are built here, so the trials only read them. All
     trials run inline with one worker, else on one pool of that many threads.
     BLAS is held to one thread either way: with more, OpenBLAS splits the
     long inner dimension of the weight-gradient products over its threads,
     which changes their last bits, so trials would depend on the worker
-    count (and on the machine's cores). Inline trials keep the heap mapped
-    (_blas.keep_heap), as autodiff.train does on the main thread; here it
-    also covers a serial map started from another thread. Trial threads'
-    heaps would each keep their own peak, so a pool leaves them as they are.
+    count (and on the machine's cores). Inline trials run on the calling
+    thread, where autodiff.train keeps the heap if it is the main thread.
     A config repeated in configs (same config_hash) raises ValueError
     before any trial runs.
     """
@@ -352,14 +367,13 @@ def _map_trials(fn, graph, configs):
     def attempt(job):
         config, t = job
         try:
-            return t, fn(graph, config, config.base_seed + t), None
+            return t, run_trial(graph, config, config.base_seed + t), None
         except Exception as exc:  # noqa: BLE001 - reported per trial
             return t, None, exc
 
     jobs = [(config, t) for config in configs for t in range(config.trials)]
     with single_threaded():
         if configs[0].workers == 1:
-            keep_heap()
             outcomes = [attempt(job) for job in jobs]
         else:
             with ThreadPoolExecutor(max_workers=configs[0].workers) as pool:
@@ -371,7 +385,7 @@ def _map_trials(fn, graph, configs):
 def _run_on_graph(graph, configs):
     """run_experiment per config, on their graph, already loaded by the caller."""
     return [_record(graph, config, outcomes) for config, outcomes
-            in zip(configs, _map_trials(run_trial, graph, configs))]
+            in zip(configs, _map_trials(graph, configs))]
 
 
 def _record(graph, config, outcomes):
@@ -425,9 +439,10 @@ def grid_search(config, grid):
     """
     if not grid:
         raise ValueError("grid is empty")
+    allowed = GRID_FIELDS + PRETEXT_FIELDS[config.paradigm]
     for key, values in grid.items():
-        if key not in GRID_FIELDS:
-            raise ValueError(f"cannot search over {key!r}; allowed: {GRID_FIELDS}")
+        if key not in allowed:
+            raise ValueError(f"cannot search over {key!r} for {config.paradigm}; allowed: {allowed}")
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"grid values for {key!r} must be a non-empty list")
     keys = list(grid)
@@ -435,7 +450,7 @@ def grid_search(config, grid):
 
     graph = load_config_graph(config)
     configs = [replace(config, **dict(zip(keys, combo))) for combo in combos]
-    outcomes = _map_trials(run_trial, graph, configs)
+    outcomes = _map_trials(graph, configs)
     for _, _, exc in itertools.chain(*outcomes):
         if exc is not None:
             raise exc
@@ -469,7 +484,7 @@ def ablation_shuffle_ratio(config, ratios):
     Returns (rows, results): rows are (ratio, mean test AUROC) and results
     the underlying ExperimentResult per ratio.
     """
-    if config.paradigm != "dgi":
+    if "shuffle_ratio" not in PRETEXT_FIELDS[config.paradigm]:
         raise ValueError("the shuffle-ratio ablation applies to the dgi paradigm")
     ratios = [float(r) for r in ratios]
     if not ratios:

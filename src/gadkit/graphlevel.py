@@ -47,6 +47,8 @@ class GraphCollection:
             raise ValueError("collection is empty")
         if len(self.class_ids) != len(self.graphs):
             raise ValueError("one class id per graph required")
+        if len(widths := {g.features.shape[1] for g in self.graphs}) > 1:
+            raise ValueError(f"all graphs must share one feature dimension, got {sorted(widths)}")
         if self.labels is not None:
             if len(self.labels) != len(self.graphs):
                 raise ValueError(f"{len(self.labels)} labels for {len(self.graphs)} graphs")
@@ -135,8 +137,6 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
     """Run one graph-level experiment; mode is 'dgi', 'graphmae' or 'end2end'."""
     if collection.labels is None:
         raise ValueError("collection has no labels; run downsample_class first")
-    if any(g.features.shape[1] != collection.feature_dim for g in collection.graphs):
-        raise ValueError("all graphs must share one feature dimension")
     labels = collection.labels
     train_idx, val_idx, test_idx = stratified_graph_split(labels, train_ratio, seed)
 
@@ -184,14 +184,24 @@ def save_collection(collection, out_dir):
 
 
 def load_collection(manifest_path):
-    """Collection from a manifest JSON of per-graph (edges, features, class)."""
+    """Collection from a manifest JSON of per-graph (edges, features, class);
+    a malformed manifest raises ValueError naming its path and entry."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    entries = manifest.get("graphs") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{manifest_path}: 'graphs' must be a list of entries")
     graphs, classes = [], []
-    for entry in manifest["graphs"]:
-        edge_path = os.path.join(base, entry["edges"])
-        feat_path = os.path.join(base, entry["features"])
-        graphs.append(load_dataset(edge_path, feat_path))
-        classes.append(int(entry["class"]))
+    for i, entry in enumerate(entries):
+        missing = [k for k in ("edges", "features", "class")
+                   if not isinstance(entry, dict) or k not in entry]
+        if missing:
+            raise ValueError(f"{manifest_path}: graph entry {i} lacks {', '.join(missing)}")
+        if type(entry["class"]) is not int:
+            raise ValueError(f"{manifest_path}: graph entry {i} has a class that is "
+                             f"not an integer: {entry['class']!r}")
+        graphs.append(load_dataset(os.path.join(base, entry["edges"]),
+                                   os.path.join(base, entry["features"])))
+        classes.append(entry["class"])
     return GraphCollection(graphs=tuple(graphs), class_ids=np.asarray(classes))

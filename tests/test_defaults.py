@@ -24,7 +24,7 @@ from gadkit.diagnostics import k_hop_reachable_ratio
 from gadkit.encoders import (ENCODER_KINDS, EncoderConfig, init_encoder,
                              save_encoder)
 from gadkit.experiment import (PARADIGMS, ExperimentConfig, SplitRegime,
-                               sweep_labeled_anomalies)
+                               config_from_dict, sweep_labeled_anomalies)
 from gadkit.graphlevel import graphlevel_pipeline
 from gadkit.pretrain import DgiConfig, MaeConfig, pretrain_run
 
@@ -185,6 +185,13 @@ configs = st.builds(
 @given(configs)
 def test_canonical_and_hash_match_the_hand_written_form(config):
     assert_canonical_unchanged(config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs)
+def test_config_from_dict_reads_canonical_json_back_to_the_same_hash(config):
+    back = config_from_dict(json.loads(json.dumps(config.canonical())))
+    assert back.config_hash() == config.config_hash()
 
 
 @pytest.mark.parametrize("config", [

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from gadkit import _blas
+from gadkit import _blas, autodiff
 import gadkit.experiment as ex
 import gadkit.graph
 from gadkit.data import SyntheticSpec
@@ -279,16 +279,24 @@ def test_grid_failure_raises_and_restores_blas_threads(
     assert _blas.threads() == blas_threads
 
 
+# kept: the heap is kept once per serial trial's training, never in a pool
 @pytest.mark.parametrize("workers, kept", [(1, 1), (2, 0)])
 def test_inline_trials_keep_the_heap_and_trial_threads_do_not(
         monkeypatch, workers, kept):
     calls = []
-    monkeypatch.setattr(ex, "keep_heap", lambda: calls.append(1))
+    monkeypatch.setattr(autodiff, "keep_heap", lambda: calls.append(1))
+
+    def training_trial(graph, config, seed):
+        p = autodiff.Tensor(np.zeros((1, 3)), requires_grad=True)
+        autodiff.train([p], lambda: autodiff.sum_all(autodiff.activation(p, "tanh")),
+                       2, 0.1)
+        return seed
+
+    monkeypatch.setattr(ex, "run_trial", training_trial)
     config = tiny_config(trials=2, workers=workers)
-    outcomes = ex._map_trials(lambda graph, config, seed: seed,
-                              ex.load_config_graph(config), [config])
+    outcomes = ex._map_trials(ex.load_config_graph(config), [config])
     assert outcomes == [[(0, 0, None), (1, 1, None)]]
-    assert len(calls) == kept
+    assert len(calls) == kept * config.trials
 
 
 # an epoch's worth of temporaries: each step allocates and frees 256 KB to
@@ -377,6 +385,29 @@ def test_grid_rejects_bad_keys_and_empty():
         grid_search(tiny_config(), {})
     with pytest.raises(ValueError, match="cannot search"):
         grid_search(tiny_config(), {"trials": [1, 2]})
+
+
+@pytest.mark.parametrize("paradigm, key", [
+    ("end2end", "pretrain_epochs"), ("end2end", "shuffle_ratio"),
+    ("end2end", "mask_ratio"), ("end2end", "sce_gamma"),
+    ("dgi", "mask_ratio"), ("dgi", "sce_gamma"), ("graphmae", "shuffle_ratio")])
+def test_grid_rejects_a_field_its_paradigm_never_reads_before_the_graph_loads(
+        monkeypatch, paradigm, key):
+    loads = []
+    monkeypatch.setattr(ex, "load_config_graph", loads.append)
+    with pytest.raises(ValueError, match=f"cannot search over '{key}' for {paradigm}"):
+        grid_search(tiny_config(paradigm=paradigm), {key: [0.3, 0.5]})
+    assert loads == []
+
+
+@pytest.mark.parametrize("paradigm, grid", [("dgi", {"shuffle_ratio": [0.5, 1.0]}),
+                                            ("graphmae", {"mask_ratio": [0.3, 0.5]})])
+def test_grid_searches_its_paradigms_pretext_fields(paradigm, grid):
+    config = tiny_config(paradigm=paradigm, trials=1, epochs=6, pretrain_epochs=4)
+    result = grid_search(config, grid)
+    [(key, values)] = grid.items()
+    assert [row[key] for row in result.rows] == values
+    assert getattr(result.best_config, key) in values
 
 
 @pytest.mark.parametrize("grid", [{"lr": []}, {"lr": 0.01}, {"encoder_kind": "gin"}],

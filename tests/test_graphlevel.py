@@ -1,4 +1,6 @@
 from functools import reduce
+import json
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +193,39 @@ def test_manifest_round_trip(tmp_path):
     for ga, gb in zip(coll.graphs, loaded.graphs):
         assert np.array_equal(ga.indices, gb.indices)
         assert np.array_equal(ga.features, gb.features)
+
+
+def test_collection_rejects_graphs_of_different_feature_widths():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"one feature dimension, got \[2, 3\]"):
+        GraphCollection(graphs=(path(4, rng, d=2), path(4, rng, d=3)),
+                        class_ids=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda m: m["graphs"][1].pop("class"), "graph entry 1 lacks class"),
+    (lambda m: m["graphs"][0].pop("edges"), "graph entry 0 lacks edges"),
+    (lambda m: m["graphs"][2].pop("features"), "graph entry 2 lacks features"),
+    (lambda m: m["graphs"].__setitem__(1, "graph_1.txt"),
+     "graph entry 1 lacks edges, features, class"),
+    (lambda m: m["graphs"][1].update({"class": 1.5}),
+     "graph entry 1 has a class that is not an integer: 1.5"),
+    (lambda m: m["graphs"][0].update({"class": "0"}),
+     "graph entry 0 has a class that is not an integer: '0'"),
+    (lambda m: m.update({"graphs": {"0": {}}}), "'graphs' must be a list"),
+    (lambda m: m.pop("graphs"), "'graphs' must be a list")],
+    ids=["class", "edges", "features", "not-an-object", "float-class",
+         "string-class", "graphs-object", "no-graphs"])
+def test_load_collection_names_the_manifest_and_entry_it_cannot_read(
+        tmp_path, edit, match):
+    manifest = save_collection(toy_collection(2, 1), str(tmp_path))
+    with open(manifest) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(manifest, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}: ") + match):
+        load_collection(manifest)
 
 
 @pytest.mark.parametrize("kwargs", [{"mode": "end2end", "epochs": 0},

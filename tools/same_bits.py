@@ -11,7 +11,8 @@ that tree's src/ and writes every result to files:
 - `run_experiment` for DGI, GraphMAE and end2end over GCN and GIN, each in
   the semi and the full split regime;
 - a labeled-anomaly sweep, a shuffle-ratio ablation and a grid search, each
-  at workers 1 and 2;
+  at workers 1 and 2, and `run_experiment` for GraphMAE and end2end at
+  workers 2;
 - `graphlevel_pipeline` scores, losses and metrics for every mode over GCN
   and GIN, and for DGI and GraphMAE again with partial draws (PARTIAL_DRAWS),
   so that each graph shuffles or masks only some of its rows;
@@ -150,6 +151,10 @@ def run_matrix(src, out):
         ex.ablation_shuffle_ratio(replace(base, workers=workers,
                                           out_dir=str(at / "ablation")), SHUFFLE_RATIOS)
         ex.grid_search(replace(base, workers=workers, out_dir=str(at / "grid")), GRID)
+    # the sweep, ablation and grid above are DGI's; the others reach the pool here
+    for paradigm in ("graphmae", "end2end"):
+        ex.run_experiment(replace(base, paradigm=paradigm, workers=2,
+                                  out_dir=str(out / "workers2" / "runs")))
 
     _write_initial_weights(gk, out / "init")
 
