@@ -2,7 +2,7 @@
 
 On-disk format (language-neutral, diffable, round-trips bit-exactly):
   edges    whitespace-separated node-id pairs, one per line, '#' comments
-  features CSV of finite reals, one row per node
+  features CSV of finite reals (each its float repr), one row per node
   labels   one token per line from {0, 1, ?}
 
 The synthetic benchmark is a stochastic block model with two kinds of
@@ -11,7 +11,9 @@ and structural (dense cliques wired among anomaly nodes).
 """
 
 from dataclasses import dataclass
+import itertools
 import math
+import os
 
 import numpy as np
 
@@ -225,26 +227,53 @@ def generate_synthetic(spec):
     return build_graph(np.concatenate(edges), features, labels)
 
 
-def _fmt(x):
-    return repr(float(x))
+def write_text(path, text):
+    """Write text to path through path + '.tmp' and a rename, so that path
+    holds either its old bytes or all of text, never a part."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_csv(path, header, rows):
+    """rows of one width under header unless it is None, by write_text; a float
+    cell (numpy's too) is its float repr, any other its str."""
+    rows = iter(rows)
+    text = [] if header is None else [",".join(header) + "\n"]
+    # a column of 512 rows at a time: as fast as whole columns, in less memory
+    while block := list(itertools.islice(rows, 512)):
+        columns = [[repr(float(v)) if isinstance(v, float) else str(v) for v in column]
+                   for column in zip(*block)]
+        text.append("".join([",".join(cells) + "\n" for cells in zip(*columns)]))
+    write_text(path, "".join(text))
+
+
+def label_tokens(labels):
+    """Each label's token in the label file: 0, 1, or ? when unknown."""
+    return ["?" if y == LABEL_UNKNOWN else str(int(y)) for y in np.asarray(labels).tolist()]
 
 
 def save_dataset(graph, edge_path, feature_path, label_path=None):
     """Write the dataset files; load_dataset inverts this bit-exactly."""
-    with open(edge_path, "w") as fh:
-        for u, v in graph.edge_list():
-            fh.write(f"{u} {v}\n")
-    with open(feature_path, "w") as fh:
-        for row in graph.features:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    write_text(edge_path, "".join(f"{u} {v}\n" for u, v in graph.edge_list().tolist()))
+    write_csv(feature_path, None, graph.features.tolist())
     if label_path is not None:
-        with open(label_path, "w") as fh:
-            for y in graph.labels:
-                fh.write(("?" if y == LABEL_UNKNOWN else str(int(y))) + "\n")
+        write_csv(label_path, None, zip(label_tokens(graph.labels)))
 
 
 def _parse_error(path, lineno, msg):
     return ValueError(f"{path}:{lineno}: {msg}")
+
+
+def _lines(path, comment=None):
+    """(line number, stripped text) of each line of path left non-blank by a comment cut."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if comment is not None:
+                line = line.split(comment, 1)[0]
+            if line := line.strip():
+                yield lineno, line
 
 
 def load_dataset(edge_path, feature_path, label_path=None):
@@ -254,23 +283,19 @@ def load_dataset(edge_path, feature_path, label_path=None):
     """
     features = []
     width = None
-    with open(feature_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise _parse_error(feature_path, lineno, "invalid real number") from None
-            if not all(map(math.isfinite, row)):
-                raise _parse_error(feature_path, lineno, "non-finite real number")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise _parse_error(feature_path, lineno,
-                                   f"expected {width} columns, found {len(row)}")
-            features.append(row)
+    for lineno, line in _lines(feature_path):
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise _parse_error(feature_path, lineno, "invalid real number") from None
+        if not all(map(math.isfinite, row)):
+            raise _parse_error(feature_path, lineno, "non-finite real number")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise _parse_error(feature_path, lineno,
+                               f"expected {width} columns, found {len(row)}")
+        features.append(row)
     if not features:
         raise ValueError(f"{feature_path}: no feature rows")
     features = np.asarray(features, dtype=np.float64)
@@ -280,36 +305,27 @@ def load_dataset(edge_path, feature_path, label_path=None):
         labels = [LABEL_UNKNOWN] * n
     else:
         labels = []
-        with open(label_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                tok = line.strip()
-                if not tok:
-                    continue
-                if tok == "?":
-                    labels.append(LABEL_UNKNOWN)
-                elif tok in ("0", "1"):
-                    labels.append(int(tok))
-                else:
-                    raise _parse_error(label_path, lineno,
-                                       f"label must be 0, 1 or ?, got {tok!r}")
+        for lineno, tok in _lines(label_path):
+            if tok == "?":
+                labels.append(LABEL_UNKNOWN)
+            elif tok in ("0", "1"):
+                labels.append(int(tok))
+            else:
+                raise _parse_error(label_path, lineno,
+                                   f"label must be 0, 1 or ?, got {tok!r}")
         if len(labels) != n:
             raise ValueError(f"{label_path}: {len(labels)} labels for {n} feature rows")
 
     edges = []
-    with open(edge_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise _parse_error(edge_path, lineno, "expected two node ids")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise _parse_error(edge_path, lineno, "node ids must be integers") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise _parse_error(edge_path, lineno,
-                                   f"node id out of range for {n} nodes")
-            edges.append((u, v))
+    for lineno, line in _lines(edge_path, comment="#"):
+        parts = line.split()
+        if len(parts) != 2:
+            raise _parse_error(edge_path, lineno, "expected two node ids")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise _parse_error(edge_path, lineno, "node ids must be integers") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise _parse_error(edge_path, lineno, f"node id out of range for {n} nodes")
+        edges.append((u, v))
     return build_graph(edges, features, labels)

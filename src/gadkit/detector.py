@@ -15,8 +15,8 @@ import numpy as np
 
 from .autodiff import (EPOCHS, LR, Tensor, activation, bce_with_logits,
                        gather_rows, matmul, stable_sigmoid, train)
+from .data import label_tokens, write_csv
 from .encoders import dense, encode, init_encoder
-from .graph import LABEL_UNKNOWN
 from .metrics import auprc
 
 
@@ -205,9 +205,6 @@ def score_nodes(encoder, classifier, graph, node_subset):
 
 def save_scores(score_vec, labels, path):
     """CSV dump (node_id, score, label_if_known); unknown labels print '?'."""
-    with open(path, "w") as fh:
-        fh.write("node_id,score,label\n")
-        for node, score in zip(score_vec.nodes, score_vec.scores):
-            y = labels[node]
-            tok = "?" if y == LABEL_UNKNOWN else str(int(y))
-            fh.write(f"{int(node)},{float(score)!r},{tok}\n")
+    write_csv(path, ["node_id", "score", "label"],
+              zip(score_vec.nodes.tolist(), score_vec.scores.tolist(),
+                  label_tokens(np.asarray(labels)[score_vec.nodes])))

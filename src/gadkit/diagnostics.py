@@ -97,6 +97,8 @@ def reachability_vs_labels(graph, anomalies, label_counts, trials=10, seed=0, k=
     (per trial) and measures R_k against the remaining anomalies. Returns
     a list of (count, mean R_k) rows in the requested order.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     anomalies = np.asarray(anomalies, dtype=np.int64)
     rng = np.random.default_rng(seed)
     rows = []

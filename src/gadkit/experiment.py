@@ -38,7 +38,7 @@ from ._blas import single_threaded
 from .autodiff import EPOCHS, LR
 from .data import (SEMI_ANOMALIES, SEMI_NORMALS, DatasetPaths, SyntheticSpec,
                    generate_synthetic, load_dataset, make_full_split,
-                   make_semi_split)
+                   make_semi_split, write_csv, write_text)
 from .detector import end2end_run, finetune_run, save_scores
 from .diagnostics import K_MAX, k_hop_reachable_ratio
 from .encoders import EncoderConfig
@@ -75,6 +75,10 @@ class SplitRegime:
     def __post_init__(self):
         if self.regime not in ("semi", "full"):
             raise ValueError("regime must be 'semi' or 'full'")
+        if min(self.n_anom, self.n_norm) < 1:
+            raise ValueError("split sizes must be positive")
+        if not 0.0 < self.train_ratio < 1.0:
+            raise ValueError("train_ratio must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,13 @@ class ExperimentConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not self.sce_gamma >= 1.0:  # also rejects NaN
             raise ValueError(f"sce_gamma must be >= 1, got {self.sce_gamma}")
+        if min(self.epochs, self.pretrain_epochs) < 1:
+            raise ValueError("epochs and pretrain_epochs must be at least 1")
+        if not 0.0 <= self.shuffle_ratio <= 1.0:
+            raise ValueError(f"shuffle ratio {self.shuffle_ratio} outside [0, 1]")
+        if not 0.0 < self.mask_ratio < 1.0:
+            raise ValueError(f"mask ratio {self.mask_ratio} outside (0, 1)")
+        self.encoder_config(1)  # EncoderConfig checks the encoder fields
 
     def resolved_activation(self):
         """The encoder activation; when none is set, PReLU for DGI, else ReLU."""
@@ -275,20 +286,10 @@ def aggregate_trials(results):
     return agg
 
 
-def _atomic_write(path, text):
-    with open(path + ".tmp", "w") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
-
-
 def _write_csv(config, name, header, rows):
-    """rows under header, to out_dir/name when out_dir is set, else nowhere;
-    a float cell (numpy's too) is its plain float repr, any other cell its str."""
+    """write_csv to out_dir/name when out_dir is set, else nowhere."""
     if config.out_dir:
-        lines = [",".join(header)]
-        lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-                  for row in rows]
-        _atomic_write(os.path.join(config.out_dir, name), "\n".join(lines) + "\n")
+        write_csv(os.path.join(config.out_dir, name), header, rows)
 
 
 _RESULT_FILES = ("scores.csv", "losses.csv", "reachability.json", "metrics.json")
@@ -305,20 +306,14 @@ def _write_outcome(trial_dir, graph, result, exc):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(trial_dir, name))
     if exc is not None:
-        _atomic_write(os.path.join(trial_dir, "error.txt"),
-                      "".join(traceback.format_exception(exc)))
+        write_text(os.path.join(trial_dir, "error.txt"),
+                   "".join(traceback.format_exception(exc)))
         return
-    # write-then-rename so readers never observe partial files
-    scores_path = os.path.join(trial_dir, "scores.csv")
-    save_scores(result.scores, graph.labels, scores_path + ".tmp")
-    os.replace(scores_path + ".tmp", scores_path)
-    losses_path = os.path.join(trial_dir, "losses.csv")
-    save_loss_curve(result.losses, losses_path + ".tmp")
-    os.replace(losses_path + ".tmp", losses_path)
-    _atomic_write(os.path.join(trial_dir, "reachability.json"),
-                  result.reachability.to_json())
-    _atomic_write(os.path.join(trial_dir, "metrics.json"),
-                  json.dumps(result.metrics_dict(), sort_keys=True))
+    save_scores(result.scores, graph.labels, os.path.join(trial_dir, "scores.csv"))
+    save_loss_curve(result.losses, os.path.join(trial_dir, "losses.csv"))
+    write_text(os.path.join(trial_dir, "reachability.json"), result.reachability.to_json())
+    write_text(os.path.join(trial_dir, "metrics.json"),
+               json.dumps(result.metrics_dict(), sort_keys=True))
 
 
 @dataclass
@@ -415,8 +410,8 @@ def _record(graph, config, outcomes):
         os.makedirs(run_dir, exist_ok=True)
         for t, res, exc in outcomes:
             _write_outcome(os.path.join(run_dir, f"trial_{t}"), graph, res, exc)
-        _atomic_write(os.path.join(run_dir, "aggregate.json"),
-                      json.dumps(aggregate, sort_keys=True, indent=1))
+        write_text(os.path.join(run_dir, "aggregate.json"),
+                   json.dumps(aggregate, sort_keys=True, indent=1))
 
     return ExperimentResult(config=config, trials=results, failures=failures,
                             aggregate=aggregate, run_dir=run_dir)
@@ -447,9 +442,8 @@ def grid_search(config, grid):
             raise ValueError(f"grid values for {key!r} must be a non-empty list")
     keys = list(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
-
-    graph = load_config_graph(config)
     configs = [replace(config, **dict(zip(keys, combo))) for combo in combos]
+    graph = load_config_graph(config)
     outcomes = _map_trials(graph, configs)
     for _, _, exc in itertools.chain(*outcomes):
         if exc is not None:
@@ -471,8 +465,8 @@ def grid_search(config, grid):
         trace = {"selection_key": ["val_auprc", "val_auroc", "hidden_dim",
                                    "num_layers", "declaration_order"],
                  "rows": rows, "selected_index": best["index"]}
-        _atomic_write(os.path.join(config.out_dir, "selection_trace.json"),
-                      json.dumps(trace, sort_keys=True, indent=1))
+        write_text(os.path.join(config.out_dir, "selection_trace.json"),
+                   json.dumps(trace, sort_keys=True, indent=1))
 
     return GridSearchResult(best_config=experiment.config, best_index=best["index"],
                             rows=rows, experiment=experiment)
@@ -489,11 +483,8 @@ def ablation_shuffle_ratio(config, ratios):
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ValueError("no shuffle ratios given")
-    for r in ratios:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"shuffle ratio {r} outside [0, 1]")
-    results = _run_on_graph(load_config_graph(config),
-                            [replace(config, shuffle_ratio=r) for r in ratios])
+    configs = [replace(config, shuffle_ratio=r) for r in ratios]
+    results = _run_on_graph(load_config_graph(config), configs)
     rows = [(r, res.aggregate["metrics"]["auroc"]["mean"])
             for r, res in zip(ratios, results)]
     _write_csv(config, "ablation_shuffle.csv", ["shuffle_ratio", "mean_auroc"], rows)

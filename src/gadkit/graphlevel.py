@@ -25,7 +25,7 @@ import numpy as np
 
 from ._blas import single_threaded
 from .autodiff import EPOCHS, LR, concat_rows, mean_rows, segment_mean
-from .data import load_dataset, save_dataset
+from .data import load_dataset, save_dataset, write_text
 from .detector import fit_classifier, joint_fit
 from .encoders import encode
 from .graph import disjoint_union
@@ -178,8 +178,7 @@ def save_collection(collection, out_dir):
         entries.append({"edges": edges, "features": feats,
                         "class": int(collection.class_ids[i])})
     path = os.path.join(out_dir, "collection.json")
-    with open(path, "w") as fh:
-        json.dump({"graphs": entries}, fh, indent=1, sort_keys=True)
+    write_text(path, json.dumps({"graphs": entries}, indent=1, sort_keys=True))
     return path
 
 
@@ -201,6 +200,10 @@ def load_collection(manifest_path):
         if type(entry["class"]) is not int:
             raise ValueError(f"{manifest_path}: graph entry {i} has a class that is "
                              f"not an integer: {entry['class']!r}")
+        for key in ("edges", "features"):
+            if not isinstance(entry[key], str):
+                raise ValueError(f"{manifest_path}: graph entry {i} has a non-string "
+                                 f"{key} path: {entry[key]!r}")
         graphs.append(load_dataset(os.path.join(base, entry["edges"]),
                                    os.path.join(base, entry["features"])))
         classes.append(entry["class"])

@@ -22,6 +22,7 @@ from .autodiff import (EPOCHS, LR, Tensor, activation, add, bce_with_logits,
                        gather_rows, matmul, row_substitute, scale,
                        scaled_cosine_error, segment_dot, segment_mean, spmm,
                        train, transpose, zero_rows)
+from .data import write_csv
 from .encoders import encode, glorot, init_encoder
 
 OBJECTIVES = ("dgi", "graphmae")
@@ -219,7 +220,4 @@ def pretrain_run(graph, encoder_config, objective, epochs=EPOCHS, lr=LR, seed=0,
 
 
 def save_loss_curve(losses, path):
-    with open(path, "w") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, value in enumerate(losses):
-            fh.write(f"{epoch},{value!r}\n")
+    write_csv(path, ["epoch", "loss"], enumerate(losses))

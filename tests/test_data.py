@@ -1,11 +1,14 @@
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gadkit.data import (SyntheticSpec, generate_synthetic, load_dataset,
-                         make_full_split, make_semi_split, save_dataset)
+from gadkit.data import (SyntheticSpec, generate_synthetic, label_tokens,
+                         load_dataset, make_full_split, make_semi_split,
+                         save_dataset, write_csv)
 from gadkit.graph import LABEL_UNKNOWN, build_graph, graph_stats
 
 from conftest import random_graph
@@ -82,6 +85,42 @@ def test_round_trip_bit_identical(tmp_path):
     save_dataset(g2, *paths2)
     for a, b in zip(paths, paths2):
         assert Path(a).read_text() == Path(b).read_text()
+
+
+class _Unprintable:
+    """A feature cell whose formatting raises, as a crash mid-write would."""
+
+    def __float__(self):
+        raise RuntimeError("cannot format this cell")
+
+    __str__ = __repr__ = __float__
+
+
+def test_a_save_that_fails_midway_keeps_the_old_files_whole(tmp_path):
+    g = random_graph(np.random.default_rng(0), 20, feature_dim=3)
+    paths = [str(tmp_path / n) for n in ("e.txt", "x.csv", "y.txt")]
+    save_dataset(g, *paths)
+    before = [Path(p).read_bytes() for p in paths]
+    features = g.features.astype(object)
+    features[5, 1] = _Unprintable()
+    broken = SimpleNamespace(edge_list=g.edge_list, features=features, labels=g.labels)
+    with pytest.raises(RuntimeError, match="cannot format"):
+        save_dataset(broken, *paths)
+    assert [Path(p).read_bytes() for p in paths] == before
+    assert sorted(os.listdir(tmp_path)) == ["e.txt", "x.csv", "y.txt"]
+
+
+def test_write_csv_cells_and_label_tokens(tmp_path):
+    path = str(tmp_path / "t.csv")
+    write_csv(path, ["a", "b", "c"],
+              [(np.float64(0.1), np.int64(3), None), (1.0, "x", 1e-17)])
+    assert Path(path).read_text() == "a,b,c\n0.1,3,None\n1.0,x,1e-17\n"
+    write_csv(path, None, [])
+    assert Path(path).read_text() == ""
+    rows = [(i, i / 7) for i in range(1100)]  # more than two blocks of rows
+    write_csv(path, None, iter(rows))
+    assert Path(path).read_text() == "".join(f"{i},{v!r}\n" for i, v in rows)
+    assert label_tokens(np.array([0, 1, LABEL_UNKNOWN, 1])) == ["0", "1", "?", "1"]
 
 
 def test_synthetic_label_count_exact():

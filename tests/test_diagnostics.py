@@ -135,6 +135,17 @@ def test_reachability_vs_labels_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_reachability_vs_labels_rejects_fewer_than_one_trial(monkeypatch, trials):
+    import gadkit.diagnostics as diag
+    calls = []
+    monkeypatch.setattr(diag, "k_hop_reachable_ratio", lambda *a, **k: calls.append(a))
+    g = build_graph([(0, 1), (1, 2)], np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="at least one trial"):
+        reachability_vs_labels(g, [0, 1, 2], [1], trials=trials, seed=0)
+    assert calls == []
+
+
 def test_reachability_vs_labels_count_bounds():
     g = build_graph([(0, 1)], np.zeros((3, 1)))
     with pytest.raises(ValueError, match="leaves no unlabeled"):

@@ -420,6 +420,47 @@ def test_grid_values_must_be_non_empty_lists(monkeypatch, grid):
     assert loads == []
 
 
+@pytest.mark.parametrize("overrides, match", [
+    ({"hidden_dim": 0}, "dimensions must be positive"),
+    ({"num_layers": 0}, "at least one layer"),
+    ({"encoder_kind": "gat"}, "kind must be one of"),
+    ({"activation": "gelu"}, "activation must be one of"),
+    ({"shuffle_ratio": 1.5}, "outside"),
+    ({"mask_ratio": 1.0}, "outside"),
+    ({"epochs": 0}, "epochs"),
+    ({"pretrain_epochs": 0}, "pretrain_epochs"),
+    ({"split": {"n_anom": 0}}, "split sizes must be positive"),
+    ({"split": {"regime": "full", "train_ratio": 1.5}}, "train_ratio")],
+    ids=["hidden_dim", "num_layers", "encoder_kind", "activation", "shuffle_ratio",
+         "mask_ratio", "epochs", "pretrain_epochs", "n_anom", "train_ratio"])
+def test_a_config_a_trial_would_reject_is_rejected_when_built(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        if "split" in overrides:
+            overrides = {"split": SplitRegime(**overrides["split"])}
+        tiny_config(**overrides)
+
+
+@pytest.mark.parametrize("grid", [{"hidden_dim": [8, 16, 0]},
+                                  {"shuffle_ratio": [0.5, 1.0, 1.5]},
+                                  {"num_layers": [1, 2], "activation": ["relu", "gelu"]}],
+                         ids=["hidden_dim", "shuffle_ratio", "activation"])
+def test_a_grid_with_one_bad_value_raises_before_the_graph_loads(monkeypatch, grid):
+    loads, trials = [], []
+    monkeypatch.setattr(ex, "load_config_graph", loads.append)
+    monkeypatch.setattr(ex, "run_trial", lambda *args: trials.append(args))
+    with pytest.raises(ValueError):
+        grid_search(tiny_config(), grid)
+    assert loads == [] and trials == []
+
+
+def test_the_ablation_checks_its_ratios_before_the_graph_loads(monkeypatch):
+    loads = []
+    monkeypatch.setattr(ex, "load_config_graph", loads.append)
+    with pytest.raises(ValueError, match="shuffle ratio -0.5 outside"):
+        ablation_shuffle_ratio(tiny_config(), [0.5, -0.5])
+    assert loads == []
+
+
 def test_grid_trains_each_trial_once_and_measures_its_split_first(monkeypatch):
     trained = []
     train = ex._train_models

@@ -213,9 +213,13 @@ def test_collection_rejects_graphs_of_different_feature_widths():
     (lambda m: m["graphs"][0].update({"class": "0"}),
      "graph entry 0 has a class that is not an integer: '0'"),
     (lambda m: m.update({"graphs": {"0": {}}}), "'graphs' must be a list"),
-    (lambda m: m.pop("graphs"), "'graphs' must be a list")],
+    (lambda m: m.pop("graphs"), "'graphs' must be a list"),
+    (lambda m: m["graphs"][1].update({"edges": 5}),
+     "graph entry 1 has a non-string edges path: 5"),
+    (lambda m: m["graphs"][2].update({"features": None}),
+     "graph entry 2 has a non-string features path: None")],
     ids=["class", "edges", "features", "not-an-object", "float-class",
-         "string-class", "graphs-object", "no-graphs"])
+         "string-class", "graphs-object", "no-graphs", "int-edges", "null-features"])
 def test_load_collection_names_the_manifest_and_entry_it_cannot_read(
         tmp_path, edit, match):
     manifest = save_collection(toy_collection(2, 1), str(tmp_path))

@@ -306,6 +306,20 @@ def test_loss_curve_csv(tmp_path):
     assert path.read_text() == "epoch,loss\n0,0.5\n1,0.25\n"
 
 
+def test_a_loss_curve_that_fails_midway_keeps_the_old_file_whole(tmp_path):
+    from gadkit.pretrain import save_loss_curve
+    path = tmp_path / "losses.csv"
+    save_loss_curve([0.5, 0.25], str(path))
+
+    def diverging():
+        yield 0.125
+        raise RuntimeError("training diverged")
+    with pytest.raises(RuntimeError, match="diverged"):
+        save_loss_curve(diverging(), str(path))
+    assert path.read_text() == "epoch,loss\n0,0.5\n1,0.25\n"
+    assert os.listdir(tmp_path) == ["losses.csv"]
+
+
 @pytest.mark.parametrize("kind", ["gcn", "gin"])
 def test_decoder_bias_in_matmul_matches_add_bias_bit_for_bit(monkeypatch, kind):
     calls = []

@@ -20,7 +20,10 @@ that tree's src/ and writes every result to files:
   each graph of the collection: the CSR arrays, Â's arrays and the BFS hops
   from the graph's anomalies, one .npy file each (its header holds the dtype);
 - initial weights: `init_encoder` for GCN and GIN at two shapes and
-  `init_classifier` at two widths, one .npy file per parameter.
+  `init_classifier` at two widths, one .npy file per parameter;
+- the dataset writers: `save_dataset` on the 300-node graph (edges,
+  features and labels) and `save_collection` on the 60-graph collection
+  (its manifest and every graph's edge and feature files).
 
 The node-level runs use a 300-node synthetic graph, the graph-level ones a
 60-graph collection. Every file written is hashed except error.txt, whose
@@ -159,6 +162,12 @@ def run_matrix(src, out):
     _write_initial_weights(gk, out / "init")
 
     collection = _collection(gk)
+    files = out / "files"
+    files.mkdir()
+    gk.save_dataset(gk.generate_synthetic(base.dataset), str(files / "edges.txt"),
+                    str(files / "features.csv"), str(files / "labels.txt"))
+    gk.save_collection(collection, str(files / "collection"))
+
     graphs = {"synthetic_default": gk.generate_synthetic(gk.SyntheticSpec()),
               "synthetic_large": gk.generate_synthetic(gk.SyntheticSpec(**LARGE_SPEC)),
               **{f"collection_{i}": g for i, g in enumerate(collection.graphs)}}
