@@ -400,14 +400,19 @@ def bce_with_logits(logits, targets, weights=None):
 _NORM_EPS = 1e-12
 
 
+def check_sce_gamma(gamma):
+    """SCE's sharpness gamma (GraphMAE's sce_gamma) is at least 1, not NaN."""
+    if not gamma >= 1.0:  # also rejects NaN
+        raise ValueError(f"sce_gamma must be >= 1, got {gamma}")
+
+
 def scaled_cosine_error(x, xhat, gamma, weights=None):
     """Mean over rows of (1 - cos(x_i, xhat_i))^gamma, gamma >= 1.
 
     Optional per-row weights scale each row's term before the mean, as in
     bce_with_logits.
     """
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    check_sce_gamma(gamma)
     _check_shape(x.shape == xhat.shape,
                  f"shape mismatch: {x.shape} vs {xhat.shape}")
     m = x.shape[0]
@@ -475,6 +480,18 @@ VAL_CHECK_EVERY = 10
 EPOCHS, LR = 200, 0.005  # every paradigm's default Adam steps and step size
 
 
+def check_epochs(epochs, name="epochs"):
+    """A step count, named name in the message, is at least 1."""
+    if epochs < 1:
+        raise ValueError(f"{name} must be >= 1, got {epochs}")
+
+
+def check_lr(lr):
+    """Adam's step size is finite and positive."""
+    if not 0.0 < lr < np.inf:  # also rejects NaN
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+
+
 @single_threaded()
 def train(params, loss_fn, epochs, lr, validate=None):
     """Minimize loss_fn() over params with full-batch Adam for `epochs` steps.
@@ -491,10 +508,8 @@ def train(params, loss_fn, epochs, lr, validate=None):
     a step's freed tape is not faulted in again by the next; a pooled trial
     thread's heap would keep its own peak, so there it is left as it is.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if not 0.0 < lr < np.inf:  # also rejects NaN
-        raise ValueError(f"lr must be finite and positive, got {lr}")
+    check_epochs(epochs)
+    check_lr(lr)
     if threading.current_thread() is threading.main_thread():
         keep_heap()
     params = list(params)

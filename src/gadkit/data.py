@@ -10,6 +10,7 @@ injected anomalies: contextual (features resampled around a shifted mean)
 and structural (dense cliques wired among anomaly nodes).
 """
 
+import contextlib
 from dataclasses import dataclass
 import itertools
 import math
@@ -67,6 +68,19 @@ def _labeled_pools(graph):
 SEMI_ANOMALIES, SEMI_NORMALS = 20, 80
 
 
+def check_split_sizes(**sizes):
+    """Each semi split pool size, given by its name, is at least 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"split sizes must be positive, got {name}={size}")
+
+
+def check_train_ratio(train_ratio):
+    """A full split's training share of each class lies in (0, 1)."""
+    if not 0.0 < train_ratio < 1.0:
+        raise ValueError(f"train_ratio must be in (0, 1), got {train_ratio}")
+
+
 def make_semi_split(graph, n_anom=SEMI_ANOMALIES, n_norm=SEMI_NORMALS, seed=0,
                     val_anom=SEMI_ANOMALIES, val_norm=SEMI_NORMALS):
     """Limited-supervision split: n_anom/n_norm labeled training nodes.
@@ -74,13 +88,12 @@ def make_semi_split(graph, n_anom=SEMI_ANOMALIES, n_norm=SEMI_NORMALS, seed=0,
     Validation is an additional disjoint val_anom/val_norm sample; test is
     every remaining node with a known label.
     """
+    check_split_sizes(n_anom=n_anom, n_norm=n_norm, val_anom=val_anom, val_norm=val_norm)
     anomalies, normals = _labeled_pools(graph)
     if anomalies.size < n_anom + val_anom or normals.size < n_norm + val_norm:
         raise ValueError(
             f"insufficient labeled nodes: need {n_anom + val_anom} anomalies and "
             f"{n_norm + val_norm} normals, have {anomalies.size}/{normals.size}")
-    if min(n_anom, n_norm, val_anom, val_norm) < 1:
-        raise ValueError("split sizes must be positive")
     rng = np.random.default_rng(seed)
     pa = rng.permutation(anomalies)
     pn = rng.permutation(normals)
@@ -97,8 +110,7 @@ def make_semi_split(graph, n_anom=SEMI_ANOMALIES, n_norm=SEMI_NORMALS, seed=0,
 def make_full_split(graph, train_ratio, seed=0):
     """Stratified split: train_ratio of each class to train, remainder
     halved between validation and test (per class)."""
-    if not 0.0 < train_ratio < 1.0:
-        raise ValueError("train_ratio must be in (0, 1)")
+    check_train_ratio(train_ratio)
     anomalies, normals = _labeled_pools(graph)
     rng = np.random.default_rng(seed)
     picks = {}
@@ -155,6 +167,10 @@ class SyntheticSpec:
             raise ValueError("need at least 2 nodes and 1 feature dimension")
         if self.block_sizes and sum(self.block_sizes) != self.num_nodes:
             raise ValueError("block sizes must sum to num_nodes")
+        if self.num_blocks < 1:
+            raise ValueError(f"need at least one block, got num_blocks={self.num_blocks}")
+        if min(self.block_sizes, default=0) < 0:
+            raise ValueError(f"block sizes must not be negative, got {self.block_sizes}")
         if not 0.0 <= self.structural_fraction <= 1.0:
             raise ValueError("structural fraction must lie in [0, 1]")
         for name in ("feature_noise", "feature_shift", "block_feature_gap"):
@@ -229,11 +245,17 @@ def generate_synthetic(spec):
 
 def write_text(path, text):
     """Write text to path through path + '.tmp' and a rename, so that path
-    holds either its old bytes or all of text, never a part."""
+    holds either its old bytes or all of text, never a part; a write that
+    raises removes path + '.tmp'."""
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(path, header, rows):

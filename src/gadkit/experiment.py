@@ -35,17 +35,18 @@ import warnings
 import numpy as np
 
 from ._blas import single_threaded
-from .autodiff import EPOCHS, LR
+from .autodiff import EPOCHS, LR, check_epochs, check_lr, check_sce_gamma
 from .data import (SEMI_ANOMALIES, SEMI_NORMALS, DatasetPaths, SyntheticSpec,
-                   generate_synthetic, load_dataset, make_full_split,
-                   make_semi_split, write_csv, write_text)
+                   check_split_sizes, check_train_ratio, generate_synthetic,
+                   load_dataset, make_full_split, make_semi_split, write_csv,
+                   write_text)
 from .detector import end2end_run, finetune_run, save_scores
 from .diagnostics import K_MAX, k_hop_reachable_ratio
 from .encoders import EncoderConfig
 from .graph import UNREACHABLE
 from .metrics import auprc, auroc, hop_avg_rank, normalized_ranks
-from .pretrain import (MASK_RATIO, SCE_GAMMA, SHUFFLE_RATIO, pretrain_run,
-                       save_loss_curve)
+from .pretrain import (MASK_RATIO, SCE_GAMMA, SHUFFLE_RATIO, check_mask_ratio,
+                       check_shuffle_ratio, pretrain_run, save_loss_curve)
 
 # the pre-training fields each paradigm reads; every paradigm reads GRID_FIELDS
 PRETEXT_FIELDS = {"dgi": ("pretrain_epochs", "shuffle_ratio"),
@@ -75,10 +76,8 @@ class SplitRegime:
     def __post_init__(self):
         if self.regime not in ("semi", "full"):
             raise ValueError("regime must be 'semi' or 'full'")
-        if min(self.n_anom, self.n_norm) < 1:
-            raise ValueError("split sizes must be positive")
-        if not 0.0 < self.train_ratio < 1.0:
-            raise ValueError("train_ratio must be in (0, 1)")
+        check_split_sizes(n_anom=self.n_anom, n_norm=self.n_norm)
+        check_train_ratio(self.train_ratio)
 
 
 @dataclass(frozen=True)
@@ -109,16 +108,13 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if not 0.0 < self.lr < np.inf:  # also rejects NaN
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if not self.sce_gamma >= 1.0:  # also rejects NaN
-            raise ValueError(f"sce_gamma must be >= 1, got {self.sce_gamma}")
-        if min(self.epochs, self.pretrain_epochs) < 1:
-            raise ValueError("epochs and pretrain_epochs must be at least 1")
-        if not 0.0 <= self.shuffle_ratio <= 1.0:
-            raise ValueError(f"shuffle ratio {self.shuffle_ratio} outside [0, 1]")
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ValueError(f"mask ratio {self.mask_ratio} outside (0, 1)")
+        # each field is checked by the check of the code that reads it
+        check_lr(self.lr)
+        check_epochs(self.epochs)
+        check_epochs(self.pretrain_epochs, "pretrain_epochs")
+        check_shuffle_ratio(self.shuffle_ratio)
+        check_mask_ratio(self.mask_ratio)
+        check_sce_gamma(self.sce_gamma)
         self.encoder_config(1)  # EncoderConfig checks the encoder fields
 
     def resolved_activation(self):
@@ -157,10 +153,13 @@ class ExperimentConfig:
 
 def config_from_dict(d):
     """ExperimentConfig from a plain JSON-style dict, such as canonical()
-    gives (config_from_dict(c.canonical()) has c's config_hash)."""
+    gives (config_from_dict(c.canonical()) has c's config_hash); without a
+    "dataset" key the config's dataset is None."""
     d = dict(d)
-    ds = d.pop("dataset")
-    if "synthetic" in ds:
+    ds = d.pop("dataset", None)
+    if ds is None:
+        dataset = None
+    elif "synthetic" in ds:
         dataset = SyntheticSpec(**{k: tuple(v) if k == "block_sizes" else v
                                    for k, v in ds["synthetic"].items()})
     elif "paths" in ds:
@@ -174,6 +173,9 @@ def config_from_dict(d):
 def load_config_graph(config):
     if isinstance(config.dataset, SyntheticSpec):
         return generate_synthetic(config.dataset)
+    if not isinstance(config.dataset, DatasetPaths):
+        raise ValueError("config has no dataset: set a SyntheticSpec or DatasetPaths, "
+                         f"got {config.dataset!r}")
     return load_dataset(config.dataset.edges, config.dataset.features,
                         config.dataset.labels)
 

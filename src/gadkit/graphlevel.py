@@ -9,8 +9,8 @@ Pre-training is pretrain_run on the collection's disjoint union
 (`GraphCollection.union`), whose member graphs are the collection's graphs:
 each graph is corrupted or masked on its own, drawn in collection order from
 one rng, and its loss weighs as much as any other graph's, with labels
-untouched. The frozen encoder's readouts are one segment_mean over the
-union's `graph_ptr`. End-to-end training reads out graph by graph.
+untouched. The frozen encoder's readouts are one graph_readout of the
+union, a row per member. End-to-end training reads out graph by graph.
 The pipeline holds OpenBLAS to one thread, as experiment does for its
 trials, so its scores do not depend on the machine's core count.
 """
@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from ._blas import single_threaded
-from .autodiff import EPOCHS, LR, concat_rows, mean_rows, segment_mean
+from .autodiff import EPOCHS, LR, concat_rows, segment_mean
 from .data import load_dataset, save_dataset, write_text
 from .detector import fit_classifier, joint_fit
 from .encoders import encode
@@ -93,10 +93,9 @@ def downsample_class(collection, target_class, keep_fraction=0.10, seed=0):
 
 
 def graph_readout(encoder, graph):
-    """Mean-pooled node representations, (1, hidden); differentiable."""
-    if graph.num_nodes < 1:
-        raise ValueError("cannot pool an empty graph")
-    return mean_rows(encode(encoder, graph))
+    """Mean-pooled node representations, one (1, hidden) row per member graph
+    (`graph_ptr`), so one row for a graph from build_graph; differentiable."""
+    return segment_mean(encode(encoder, graph), graph.graph_ptr)
 
 
 def stratified_graph_split(labels, train_ratio, seed):
@@ -145,7 +144,7 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
         pre = pretrain_run(union, encoder_config, mode, pretrain_epochs, lr, seed,
                            shuffle_ratio, mask_ratio, gamma)
         losses = pre.losses
-        readouts = segment_mean(encode(pre.encoder, union), union.graph_ptr).values
+        readouts = graph_readout(pre.encoder, union).values
         fit = fit_classifier(readouts, train_idx, labels[train_idx], val_idx,
                              labels[val_idx], epochs, lr, seed, standardize=False)
     elif mode == "end2end":

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (EPOCHS, LR, Tensor, activation, add, bce_with_logits,
-                       gather_rows, matmul, row_substitute, scale,
-                       scaled_cosine_error, segment_dot, segment_mean, spmm,
-                       train, transpose, zero_rows)
+                       check_sce_gamma, gather_rows, matmul, row_substitute,
+                       scale, scaled_cosine_error, segment_dot, segment_mean,
+                       spmm, train, transpose, zero_rows)
 from .data import write_csv
 from .encoders import encode, glorot, init_encoder
 
@@ -29,6 +29,18 @@ OBJECTIVES = ("dgi", "graphmae")
 
 # defaults: DGI's shuffled share of rows, GraphMAE's masked share and SCE γ
 SHUFFLE_RATIO, MASK_RATIO, SCE_GAMMA = 1.0, 0.5, 2.0
+
+
+def check_shuffle_ratio(ratio):
+    """DGI's shuffled share of rows lies in [0, 1]."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"shuffle ratio {ratio} outside [0, 1]")
+
+
+def check_mask_ratio(ratio):
+    """GraphMAE's masked share of nodes lies in (0, 1)."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"mask ratio {ratio} outside (0, 1)")
 
 
 @dataclass
@@ -39,8 +51,7 @@ class DgiConfig:
     w_disc: Tensor
 
     def __post_init__(self):
-        if not 0.0 <= self.shuffle_ratio <= 1.0:
-            raise ValueError("shuffle ratio must lie in [0, 1]")
+        check_shuffle_ratio(self.shuffle_ratio)
         if self.w_disc.shape[0] != self.w_disc.shape[1]:
             raise ValueError("discriminator weight must be square")
 
@@ -65,10 +76,8 @@ class MaeConfig:
     b_dec: Tensor       # (1, D)
 
     def __post_init__(self):
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ValueError("mask ratio must lie in (0, 1)")
-        if not self.gamma >= 1.0:  # also rejects NaN
-            raise ValueError("gamma must be >= 1")
+        check_mask_ratio(self.mask_ratio)
+        check_sce_gamma(self.gamma)
 
     @classmethod
     def create(cls, input_dim, hidden_dim, mask_ratio=MASK_RATIO, gamma=SCE_GAMMA,
@@ -97,8 +106,7 @@ def corruption_plan(n, ratio, rng):
 
 def dgi_corrupt(features, ratio, rng):
     """Shuffle ceil(ratio*N) feature rows among themselves; rest untouched."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("shuffle ratio must lie in [0, 1]")
+    check_shuffle_ratio(ratio)
     out = np.array(features, dtype=np.float64, copy=True)
     rows, perm = corruption_plan(out.shape[0], ratio, rng)
     if rows.size:

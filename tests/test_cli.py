@@ -171,6 +171,18 @@ def test_config_from_dict_round_trip():
         config_from_dict({"dataset": {}})
 
 
+def test_a_config_file_without_a_dataset_takes_it_from_the_flags(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"paradigm": "end2end"}))
+    assert config_from_dict({"paradigm": "end2end"}).dataset is None
+    rc = main(["diagnose", "--config", str(path), "--synthetic", "--nodes", "300",
+               "--anomaly-fraction", "0.2", "--clique-size", "4", "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["num_nodes"] == 300
+    with pytest.raises(SystemExit, match="a dataset is required"):
+        main(["diagnose", "--config", str(path), "--out", str(tmp_path)])
+
+
 def test_sweep_labels_subcommand(tmp_path, capsys):
     rc = main(["sweep-labels", "--synthetic", "--nodes", "300",
                "--anomaly-fraction", "0.2", "--clique-size", "4",

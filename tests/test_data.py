@@ -8,7 +8,7 @@ import pytest
 
 from gadkit.data import (SyntheticSpec, generate_synthetic, label_tokens,
                          load_dataset, make_full_split, make_semi_split,
-                         save_dataset, write_csv)
+                         save_dataset, write_csv, write_text)
 from gadkit.graph import LABEL_UNKNOWN, build_graph, graph_stats
 
 from conftest import random_graph
@@ -110,6 +110,15 @@ def test_a_save_that_fails_midway_keeps_the_old_files_whole(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["e.txt", "x.csv", "y.txt"]
 
 
+def test_a_write_that_raises_keeps_the_old_bytes_and_leaves_no_tmp_file(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        write_text(str(path), None)
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["x.txt"]
+
+
 def test_write_csv_cells_and_label_tokens(tmp_path):
     path = str(tmp_path / "t.csv")
     write_csv(path, ["a", "b", "c"],
@@ -163,6 +172,25 @@ def test_synthetic_validation():
 def test_synthetic_rejects_non_finite_feature_parameters(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SyntheticSpec(**{field: value})
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"num_blocks": 0}, "num_blocks=0"),
+    ({"num_blocks": -2}, "num_blocks=-2"),
+    ({"num_nodes": 2000, "block_sizes": (-1, 2001)}, "must not be negative")],
+    ids=["no-blocks", "negative-blocks", "negative-size"])
+def test_synthetic_rejects_block_layouts_it_cannot_generate(fields, match):
+    with pytest.raises(ValueError, match=match):
+        SyntheticSpec(**fields)
+
+
+def test_synthetic_generates_empty_blocks():
+    spec = SyntheticSpec(num_nodes=100, block_sizes=(0, 60, 0, 40), clique_size=4)
+    assert generate_synthetic(spec).num_nodes == 100
+    more_blocks_than_nodes = SyntheticSpec(num_nodes=10, num_blocks=12, clique_size=2,
+                                           anomaly_fraction=0.2)
+    assert more_blocks_than_nodes.resolved_blocks() == (1,) * 10 + (0, 0)
+    assert generate_synthetic(more_blocks_than_nodes).num_nodes == 10
 
 
 def test_synthetic_structural_only_keeps_features_clean():

@@ -3,7 +3,8 @@
 The library's keyword defaults must equal ExperimentConfig's; canonical(),
 the config hash, the encoder checkpoint header and the CLI's synthetic
 flags are derived from the dataclasses and must match the hand-written
-forms they replaced, byte for byte.
+forms they replaced, byte for byte. A config rejects an option's bad value
+with the same words as the code that reads the option.
 """
 
 from dataclasses import fields, replace
@@ -16,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from gadkit.autodiff import ACTIVATIONS
+from gadkit.autodiff import (ACTIVATIONS, LR, Tensor, scaled_cosine_error, sum_all,
+                             train)
 from gadkit.cli import _config_from_args, build_parser
-from gadkit.data import DatasetPaths, SyntheticSpec, make_semi_split
+from gadkit.data import (DatasetPaths, SyntheticSpec, generate_synthetic,
+                         make_full_split, make_semi_split)
 from gadkit.detector import end2end_run, finetune_run
 from gadkit.diagnostics import k_hop_reachable_ratio
 from gadkit.encoders import (ENCODER_KINDS, EncoderConfig, init_encoder,
@@ -26,7 +29,7 @@ from gadkit.encoders import (ENCODER_KINDS, EncoderConfig, init_encoder,
 from gadkit.experiment import (PARADIGMS, ExperimentConfig, SplitRegime,
                                config_from_dict, sweep_labeled_anomalies)
 from gadkit.graphlevel import graphlevel_pipeline
-from gadkit.pretrain import DgiConfig, MaeConfig, pretrain_run
+from gadkit.pretrain import DgiConfig, MaeConfig, dgi_corrupt, pretrain_run
 
 
 def field_defaults(cls):
@@ -279,3 +282,58 @@ def test_experiment_flags_set_their_fields_apart_from_the_data_flags():
         dataset=SyntheticSpec(seed=2), base_seed=5, encoder_kind="gin",
         hidden_dim=16, num_layers=3, sce_gamma=3.0,
         split=SplitRegime(regime="full", n_anom=4), out_dir="elsewhere")
+
+
+def train_a_sum(epochs, lr):
+    p = Tensor(np.ones((1, 2)), requires_grad=True)
+    return train([p], lambda: sum_all(p), epochs, lr)
+
+
+NAN = float("nan")
+ENCODER = EncoderConfig(kind="gcn", input_dim=6, hidden_dim=4)
+
+# (config with the bad value, the library call that reads it, the option's
+# name in the config's message -> its name in the library's)
+RULES = {
+    "lr": (lambda: ExperimentConfig(dataset=None, lr=-1.0),
+           lambda g: train_a_sum(3, -1.0), {}),
+    "lr-nan": (lambda: ExperimentConfig(dataset=None, lr=NAN),
+               lambda g: train_a_sum(3, NAN), {}),
+    "epochs": (lambda: ExperimentConfig(dataset=None, epochs=0),
+               lambda g: train_a_sum(0, LR), {}),
+    "pretrain_epochs": (lambda: ExperimentConfig(dataset=None, pretrain_epochs=0),
+                        lambda g: pretrain_run(g, ENCODER, "dgi", epochs=0),
+                        {"pretrain_epochs": "epochs"}),
+    "sce_gamma": (lambda: ExperimentConfig(dataset=None, sce_gamma=0.5),
+                  lambda g: MaeConfig.create(6, 4, gamma=0.5), {}),
+    "sce_gamma-nan": (lambda: ExperimentConfig(dataset=None, sce_gamma=NAN),
+                      lambda g: scaled_cosine_error(Tensor([[1.0]]), Tensor([[1.0]]), NAN),
+                      {}),
+    "shuffle_ratio": (lambda: ExperimentConfig(dataset=None, shuffle_ratio=1.5),
+                      lambda g: DgiConfig.create(4, shuffle_ratio=1.5), {}),
+    "shuffle_ratio-corrupt": (lambda: ExperimentConfig(dataset=None, shuffle_ratio=-0.5),
+                              lambda g: dgi_corrupt(g.features, -0.5,
+                                                    np.random.default_rng(0)), {}),
+    "mask_ratio": (lambda: ExperimentConfig(dataset=None, mask_ratio=1.0),
+                   lambda g: MaeConfig.create(6, 4, mask_ratio=1.0), {}),
+    "n_anom": (lambda: SplitRegime(n_anom=0), lambda g: make_semi_split(g, n_anom=0), {}),
+    "n_norm": (lambda: SplitRegime(n_norm=-1), lambda g: make_semi_split(g, n_norm=-1), {}),
+    "train_ratio": (lambda: SplitRegime(regime="full", train_ratio=1.5),
+                    lambda g: make_full_split(g, 1.5), {}),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_config_rejects_a_bad_value_in_the_words_of_the_code_that_reads_it(rule):
+    build, call, names = RULES[rule]
+    graph = generate_synthetic(SyntheticSpec(num_nodes=300, anomaly_fraction=0.2,
+                                             clique_size=4, feature_dim=6, seed=11))
+    with pytest.raises(ValueError) as config_error:
+        build()
+    with pytest.raises(ValueError) as library_error:
+        call(graph)
+    config_text = str(config_error.value)
+    for config_name, library_name in names.items():
+        config_text = config_text.replace(config_name, library_name)
+    assert config_text == str(library_error.value)
+    assert type(config_error.value) is type(library_error.value) is ValueError

@@ -733,3 +733,13 @@ def test_a_trial_whose_split_has_no_reachability_fails_before_training(
         with pytest.warns(UserWarning, match="2 of 2 trials failed"):
             run_experiment(tiny_config(trials=2, **overrides))
     assert trained == []
+
+
+@pytest.mark.parametrize("run", [run_experiment, lambda c: grid_search(c, {"lr": [0.01]})],
+                         ids=["run", "grid"])
+def test_a_config_without_a_dataset_fails_before_any_trial(monkeypatch, run):
+    trials = []
+    monkeypatch.setattr(ex, "run_trial", lambda *args: trials.append(args))
+    with pytest.raises(ValueError, match="config has no dataset"):
+        run(tiny_config(dataset=None))
+    assert trials == []

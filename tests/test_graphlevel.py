@@ -101,6 +101,14 @@ def test_readout_single_node_graph():
     assert np.array_equal(out.values, h)
 
 
+def test_a_unions_readout_is_its_members_readouts_stacked_bit_for_bit():
+    coll = toy_collection(5, 5)
+    for kind in ("gcn", "gin"):
+        enc = init_encoder(EncoderConfig(kind=kind, input_dim=2, hidden_dim=4), 3)
+        stacked = np.vstack([graph_readout(enc, g).values for g in coll.graphs])
+        assert np.array_equal(graph_readout(enc, coll.union).values, stacked)
+
+
 def test_readout_permutation_invariant():
     rng = np.random.default_rng(2)
     g = clique(7, rng, d=3)
