@@ -354,16 +354,8 @@ def row_substitute(x, rows, token):
 
 
 def zero_rows(h, rows):
-    rows = np.asarray(rows, dtype=np.int64)
-    out = h.values.copy()
-    out[rows] = 0.0
-
-    def vjp(g):
-        gh = g.copy()
-        gh[rows] = 0.0
-        return (gh,)
-
-    return _emit(out, (h,), vjp)
+    """h with the given rows set to zero."""
+    return row_substitute(h, rows, Tensor(np.zeros((1, h.shape[1]))))
 
 
 def spmm(adj, h):

@@ -32,7 +32,8 @@ class DatasetPaths:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint labeled train/val pools plus the held-out test set."""
+    """Disjoint labeled train/val pools plus the held-out test set. Its items
+    are nodes, or a collection's graphs (graphlevel.stratified_graph_split)."""
 
     train_anomalies: np.ndarray
     train_normals: np.ndarray

@@ -107,23 +107,23 @@ class FitResult:
         return ScoreVector(idx, _probabilities(logits))
 
 
-def _fit(clf, params, rows, train_idx, train_y, val_idx, val_y, epochs, lr,
-         encoder=None):
-    """Train params under the weighted BCE of clf on rows(train_idx); the
-    validation AUPRC of the scores of val_idx picks the checkpoint."""
-    y_col = np.asarray(train_y, dtype=np.float64).reshape(-1, 1)
+def _fit(clf, params, rows, labels, split, epochs, lr, encoder=None):
+    """Train params under the weighted BCE of clf on the rows of the split's
+    training items, checkpointed on its validation items' AUPRC; labels (an
+    array of 0/1 per item, 1 = anomaly) is read only at those items."""
+    train_idx, val_idx = split.train_nodes, split.val_nodes
+    y_col = np.asarray(labels[train_idx], dtype=np.float64).reshape(-1, 1)
     weights = class_weights(y_col)
     fit = FitResult(classifier=clf, rows=rows, encoder=encoder)
     fit.losses, (fit.val_auprc, fit.best_epoch) = train(
         params, lambda: bce_with_logits(classifier_logits(rows(train_idx), clf),
                                         y_col, weights),
-        epochs, lr, validate=lambda: auprc(fit.scores(val_idx).scores, val_y))
+        epochs, lr, validate=lambda: auprc(fit.scores(val_idx).scores, labels[val_idx]))
     fit.val_scores = fit.scores(val_idx)
     return fit
 
 
-def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
-                   epochs, lr, seed, standardize=True):
+def fit_classifier(embeddings, labels, split, epochs, lr, seed, standardize=True):
     """Train the MLP on fixed embedding rows; keep the best-validation state.
 
     With standardize=True the embedding columns are z-scored using statistics
@@ -136,11 +136,10 @@ def fit_classifier(embeddings, train_idx, train_y, val_idx, val_y,
     if standardize:
         clf.set_standardization(embeddings)
     return _fit(clf, clf.params(), lambda idx: embeddings[idx],
-                train_idx, train_y, val_idx, val_y, epochs, lr)
+                labels, split, epochs, lr)
 
 
-def joint_fit(encoder_config, rows, train_idx, train_y, val_idx, val_y,
-              epochs, lr, seed):
+def joint_fit(encoder_config, rows, labels, split, epochs, lr, seed):
     """Train a fresh encoder and classifier together on rows(encoder, idx).
 
     rows returns the differentiable representations of the indexed items
@@ -153,14 +152,7 @@ def joint_fit(encoder_config, rows, train_idx, train_y, val_idx, val_y,
     clf = init_classifier(encoder_config.hidden_dim, clf_seed)
     return _fit(clf, encoder.params() + clf.params(),
                 lambda idx: rows(encoder, idx),
-                train_idx, train_y, val_idx, val_y, epochs, lr, encoder=encoder)
-
-
-def _split_xy(graph, split):
-    train_idx = split.train_nodes
-    val_idx = split.val_nodes
-    return (train_idx, (graph.labels[train_idx] == 1).astype(np.float64),
-            val_idx, (graph.labels[val_idx] == 1).astype(np.float64))
+                labels, split, epochs, lr, encoder=encoder)
 
 
 def finetune_run(encoder, graph, split, epochs=EPOCHS, lr=LR, seed=0):
@@ -172,7 +164,7 @@ def finetune_run(encoder, graph, split, epochs=EPOCHS, lr=LR, seed=0):
     if not encoder.frozen:
         raise ValueError("finetune_run requires a frozen encoder (see pretrain_run)")
     embeddings = encode(encoder, graph).values
-    return fit_classifier(embeddings, *_split_xy(graph, split), epochs, lr, seed)
+    return fit_classifier(embeddings, graph.labels == 1, split, epochs, lr, seed)
 
 
 def end2end_run(encoder_config, graph, split, epochs=EPOCHS, lr=LR, seed=0):
@@ -189,7 +181,7 @@ def end2end_run(encoder_config, graph, split, epochs=EPOCHS, lr=LR, seed=0):
         last["h"] = encode(encoder, graph)
         return gather_rows(last["h"], idx)
 
-    return joint_fit(encoder_config, rows, *_split_xy(graph, split), epochs, lr, seed)
+    return joint_fit(encoder_config, rows, graph.labels == 1, split, epochs, lr, seed)
 
 
 def score_nodes(encoder, classifier, graph, node_subset):

@@ -7,8 +7,9 @@ Layout: <out>/<config-hash>/trial_<t>/{scores.csv, losses.csv,
 reachability.json, metrics.json} plus <out>/<config-hash>/aggregate.json;
 a trial that raised leaves only trial_<t>/error.txt, its traceback.
 A trial measures its split's R_k (split_reachability) before it trains, so
-a split with no test anomaly or a k_hops below 1 fails the trial at once;
-it then scores its test nodes with its fitted detector (FitResult.scores).
+a split with no test anomaly, no test normal or a k_hops below 1 fails the
+trial at once; it then scores its test nodes with its fitted detector
+(FitResult.scores).
 
 A run, an ablation, a sweep and a grid each hand one list of configs to one
 trial map of run_trial (a grid records only its winner). With workers > 1
@@ -109,6 +110,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         # each field is checked by the check of the code that reads it
+        np.random.SeedSequence(self.base_seed)  # numpy's check, as default_rng's
         check_lr(self.lr)
         check_epochs(self.epochs)
         check_epochs(self.pretrain_epochs, "pretrain_epochs")
@@ -190,10 +192,13 @@ def make_split(graph, config, seed):
 
 def split_reachability(graph, config, split):
     """R_1..R_{k_hops} of split's training anomalies against its test
-    anomalies (in test order); raises ValueError when either set is empty."""
-    test_anomalies = split.test[graph.labels[split.test] == 1]
-    return k_hop_reachable_ratio(graph, split.train_anomalies, test_anomalies,
-                                 k_max=config.k_hops)
+    anomalies (in test order); raises ValueError when either set is empty or
+    the test set has no normal, whose AUROC would be undefined."""
+    test_labels = graph.labels[split.test]
+    if not (test_labels == 0).any():
+        raise ValueError("test set has no normal node; its AUROC is undefined")
+    return k_hop_reachable_ratio(graph, split.train_anomalies,
+                                 split.test[test_labels == 1], k_max=config.k_hops)
 
 
 def _train_models(graph, config, split, seed):

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._blas import single_threaded
 from .autodiff import EPOCHS, LR, concat_rows, segment_mean
-from .data import load_dataset, save_dataset, write_text
+from .data import SplitSpec, load_dataset, save_dataset, write_text
 from .detector import fit_classifier, joint_fit
 from .encoders import encode
 from .graph import disjoint_union
@@ -99,8 +99,9 @@ def graph_readout(encoder, graph):
 
 
 def stratified_graph_split(labels, train_ratio, seed):
-    """Per class: ceil(ratio * count) to train, another ceiling to validation,
-    remainder to test. Every stratum must keep at least one graph."""
+    """SplitSpec over graph indices. Per class: ceil(ratio * count) to train,
+    another ceiling to validation, remainder to test. Every stratum must keep
+    at least one graph."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
@@ -111,11 +112,11 @@ def stratified_graph_split(labels, train_ratio, seed):
             raise ValueError(f"label {cls} stratum too small for ratio {train_ratio}: "
                              f"{pool.size} graphs")
         perm = rng.permutation(pool)
-        train.extend(perm[:k])
-        val.extend(perm[k:2 * k])
-        test.extend(perm[2 * k:])
-    return (np.sort(np.asarray(train)), np.sort(np.asarray(val)),
-            np.sort(np.asarray(test)))
+        train.append(perm[:k])
+        val.append(perm[k:2 * k])
+        test.append(perm[2 * k:])
+    return SplitSpec(train[1], train[0], val[1], val[0],
+                     np.sort(np.concatenate(test)), seed)
 
 
 @dataclass
@@ -137,7 +138,7 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
     if collection.labels is None:
         raise ValueError("collection has no labels; run downsample_class first")
     labels = collection.labels
-    train_idx, val_idx, test_idx = stratified_graph_split(labels, train_ratio, seed)
+    split = stratified_graph_split(labels, train_ratio, seed)
 
     if mode in OBJECTIVES:
         union = collection.union
@@ -145,25 +146,23 @@ def graphlevel_pipeline(collection, mode, encoder_config, train_ratio=0.05,
                            shuffle_ratio, mask_ratio, gamma)
         losses = pre.losses
         readouts = graph_readout(pre.encoder, union).values
-        fit = fit_classifier(readouts, train_idx, labels[train_idx], val_idx,
-                             labels[val_idx], epochs, lr, seed, standardize=False)
+        fit = fit_classifier(readouts, labels, split, epochs, lr, seed, standardize=False)
     elif mode == "end2end":
         def rows(encoder, idx):
             return concat_rows([graph_readout(encoder, collection.graphs[i])
                                 for i in idx])
 
-        fit = joint_fit(encoder_config, rows, train_idx, labels[train_idx],
-                        val_idx, labels[val_idx], epochs, lr, seed)
+        fit = joint_fit(encoder_config, rows, labels, split, epochs, lr, seed)
         losses = fit.losses
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    test_scores = fit.scores(test_idx).scores
-    y_test = labels[test_idx]
+    test_scores = fit.scores(split.test).scores
+    y_test = labels[split.test]
     return GraphLevelResult(auroc=auroc(test_scores, y_test),
                             auprc=auprc(test_scores, y_test),
                             val_auprc=fit.val_auprc, losses=losses,
-                            test_scores=test_scores, test_index=test_idx)
+                            test_scores=test_scores, test_index=split.test)
 
 
 def save_collection(collection, out_dir):

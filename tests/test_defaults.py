@@ -320,6 +320,8 @@ RULES = {
     "n_norm": (lambda: SplitRegime(n_norm=-1), lambda g: make_semi_split(g, n_norm=-1), {}),
     "train_ratio": (lambda: SplitRegime(regime="full", train_ratio=1.5),
                     lambda g: make_full_split(g, 1.5), {}),
+    "base_seed": (lambda: ExperimentConfig(dataset=None, base_seed=-1),
+                  lambda g: make_semi_split(g, seed=-1), {}),
 }
 
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from gadkit.autodiff import concat_rows, gather_rows
 from gadkit.data import SyntheticSpec, generate_synthetic, make_semi_split
-from gadkit.detector import (end2end_run, finetune_run, init_classifier,
-                             score_nodes)
-from gadkit.encoders import EncoderConfig, init_encoder
+from gadkit.detector import (end2end_run, finetune_run, fit_classifier,
+                             init_classifier, joint_fit, score_nodes)
+from gadkit.encoders import EncoderConfig, encode, init_encoder
 from gadkit.graph import build_graph
+from gadkit.graphlevel import graph_readout, stratified_graph_split
 from gadkit.metrics import auroc
 from gadkit.pretrain import pretrain_run
 
-from conftest import assert_gradients_match
+from conftest import assert_gradients_match, random_graph
 
 
 def bench_graph(seed=0):
@@ -97,6 +99,40 @@ def test_finetune_ignores_test_labels():
     r2 = finetune_run(enc2, g2, split, epochs=20, seed=3)
     for a, b in zip(r1.classifier.params(), r2.classifier.params()):
         assert np.array_equal(a.values, b.values)
+
+
+def fitter_inputs(level):
+    """(labels, split, embeddings, rows) of nodes or of a graph collection:
+    embeddings feed fit_classifier, rows(encoder, idx) feeds joint_fit."""
+    if level == "node":
+        g = bench_graph(seed=2)
+        labels, split = (g.labels == 1).astype(np.int64), make_semi_split(g, seed=2)
+        return (labels, split, encode(frozen_encoder(g, seed=2), g).values,
+                lambda encoder, idx: gather_rows(encode(encoder, g), idx))
+    rng = np.random.default_rng(4)
+    graphs = [random_graph(rng, 8, feature_dim=6) for _ in range(40)]
+    labels = (np.arange(40) % 4 == 0).astype(np.int64)
+    enc = init_encoder(EncoderConfig(kind="gcn", input_dim=6, hidden_dim=8), 0)
+    return (labels, stratified_graph_split(labels, 0.2, seed=2),
+            np.vstack([graph_readout(enc, g).values for g in graphs]),
+            lambda encoder, idx: concat_rows([graph_readout(encoder, graphs[i])
+                                              for i in idx]))
+
+
+@pytest.mark.parametrize("level", ["node", "graph"])
+@pytest.mark.parametrize("fitter", ["fit_classifier", "joint_fit"])
+def test_a_fitter_reads_labels_only_at_its_splits_training_and_validation_items(
+        fitter, level):
+    labels, split, embeddings, rows = fitter_inputs(level)
+    cfg = EncoderConfig(kind="gcn", input_dim=6, hidden_dim=8)
+    flipped = labels.copy()
+    flipped[split.test] = 1 - flipped[split.test]
+    fits = [fit_classifier(embeddings, y, split, 15, 0.01, 3) if fitter == "fit_classifier"
+            else joint_fit(cfg, rows, y, split, 15, 0.01, 3) for y in (labels, flipped)]
+    assert fits[0].losses == fits[1].losses
+    assert fits[0].best_epoch == fits[1].best_epoch
+    assert (fits[0].scores(split.test).scores.tobytes()
+            == fits[1].scores(split.test).scores.tobytes())
 
 
 def test_finetune_deterministic():

@@ -724,7 +724,10 @@ def test_a_point_whose_trials_all_fail_raises_after_the_points_before_it_are_wri
 @pytest.mark.parametrize("overrides, match", [
     # 40 training and 20 validation anomalies leave none of the 60 to test
     ({"split": SplitRegime(n_anom=40)}, "unlabeled anomaly set is empty"),
-    ({"k_hops": 0}, "k_max must be >= 1")], ids=["no-test-anomaly", "k_hops-0"])
+    ({"k_hops": 0}, "k_max must be >= 1"),
+    # 160 training and 80 validation normals leave none of the 240 to test
+    ({"split": SplitRegime(n_norm=160)}, "test set has no normal node")],
+    ids=["no-test-anomaly", "k_hops-0", "no-test-normal"])
 def test_a_trial_whose_split_has_no_reachability_fails_before_training(
         monkeypatch, overrides, match):
     trained = []

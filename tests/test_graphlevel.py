@@ -134,7 +134,8 @@ def test_readout_zero_weights():
 
 def test_stratified_split_ceilings():
     labels = np.array([1] * 50 + [0] * 450)
-    train, val, test = stratified_graph_split(labels, 0.05, seed=0)
+    split = stratified_graph_split(labels, 0.05, seed=0)
+    train, val, test = split.train_nodes, split.val_nodes, split.test
     assert int(labels[train].sum()) == 3  # ceil(0.05 * 50)
     assert int((labels[train] == 0).sum()) == 23  # ceil(0.05 * 450)
     assert int(labels[val].sum()) == 3
@@ -304,7 +305,8 @@ def test_end2end_matches_its_former_loop_bit_for_bit(kind):
     coll = downsample_class(toy_collection(30, 30, seed=5), 1,
                             keep_fraction=0.5, seed=0)
     cfg = EncoderConfig(kind=kind, input_dim=2, hidden_dim=4, activation="prelu")
-    train_idx, val_idx, test_idx = stratified_graph_split(coll.labels, 0.2, 3)
+    split = stratified_graph_split(coll.labels, 0.2, 3)
+    train_idx, val_idx, test_idx = split.train_nodes, split.val_nodes, split.test
     enc, clf, losses, best_epoch, val_auprc = _end2end_graphs_before_train(
         coll, cfg, train_idx, val_idx, 23, 0.01, 3)
     readouts = np.vstack([graph_readout(enc, g).values for g in coll.graphs])
@@ -319,8 +321,7 @@ def test_end2end_matches_its_former_loop_bit_for_bit(kind):
     def rows(encoder, idx):
         return concat_rows([graph_readout(encoder, coll.graphs[i]) for i in idx])
 
-    fit = joint_fit(cfg, rows, train_idx, coll.labels[train_idx], val_idx,
-                    coll.labels[val_idx], 23, 0.01, 3)
+    fit = joint_fit(cfg, rows, coll.labels, split, 23, 0.01, 3)
     assert fit.losses == losses
     assert fit.best_epoch == best_epoch and fit.val_auprc == val_auprc
     for a, b in zip(fit.encoder.params() + fit.classifier.params(),
