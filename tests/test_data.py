@@ -1,11 +1,13 @@
 import os
 from pathlib import Path
+import tracemalloc
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from gadkit import data
 from gadkit.data import (SyntheticSpec, generate_synthetic, label_tokens,
                          load_dataset, make_full_split, make_semi_split,
                          save_dataset, write_csv, write_text)
@@ -363,3 +365,61 @@ def test_synthetic_matches_its_loop_form_byte_for_byte(spec):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def _dense_block_edges(rng, offset_a, size_a, offset_b, size_b, p):
+    """_block_edges as one dense draw: a (size_a, size_b) mask of uniforms
+    below p, its upper triangle on a diagonal pair, then argwhere."""
+    if p <= 0.0:
+        return np.empty((0, 2), dtype=np.int64)
+    mask = rng.random((size_a, size_b)) < p
+    if offset_a == offset_b:
+        mask = np.triu(mask, k=1)
+    return np.argwhere(mask) + (offset_a, offset_b)
+
+
+# sides from empty to several bands of the real buffer (2^18 doubles)
+_SIDES = st.one_of(st.integers(0, 40), st.integers(520, 700))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, data._CHUNK])
+@settings(max_examples=60, deadline=None)
+@given(size_a=_SIDES, size_b=_SIDES, diagonal=st.booleans(), offset=st.integers(0, 50),
+       p=st.sampled_from([0.0, 0.003, 0.1, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_edges_equal_one_dense_draw_across_buffer_edges(chunk, size_a, size_b,
+                                                              diagonal, offset, p, seed):
+    if diagonal:
+        pair = (offset, size_a, offset, size_a)
+    else:
+        pair = (offset, size_a, offset + size_a, size_b)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _dense_block_edges(want_rng, *pair, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_CHUNK", chunk)
+        got = data._block_edges(got_rng, *pair, p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_synthetic_matches_its_loop_form_over_several_buffers_per_pair():
+    # blocks of 750 nodes: 562,500 doubles per pair, two full buffers and a
+    # ragged third
+    spec = SyntheticSpec(num_nodes=3000, seed=4)
+    got, expect = generate_synthetic(spec), _loop_generate_synthetic(spec)
+    for name in ("indptr", "indices", "features", "labels"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_synthetic_generation_memory_does_not_grow_with_block_pairs():
+    # one dense draw per block pair would trace 218 MiB; the features take 2.4 MiB
+    spec = SyntheticSpec(num_nodes=20000, intra_p=0.0007, inter_p=0.00003)
+    tracemalloc.start()
+    try:
+        generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

@@ -16,9 +16,10 @@ that tree's src/ and writes every result to files:
 - `graphlevel_pipeline` scores, losses and metrics for every mode over GCN
   and GIN, and for DGI and GraphMAE again with partial draws (PARTIAL_DRAWS),
   so that each graph shuffles or masks only some of its rows;
-- the graph layer itself, for `SyntheticSpec()`, a 10,000-node spec and
-  each graph of the collection: the CSR arrays, Â's arrays and the BFS hops
-  from the graph's anomalies, one .npy file each (its header holds the dtype);
+- the graph layer itself, for `SyntheticSpec()`, a 10,000-node spec, a
+  spec of uneven blocks (UNEVEN_SPEC) and each graph of the collection:
+  the CSR arrays, Â's arrays and the BFS hops from the graph's anomalies,
+  one .npy file each (its header holds the dtype);
 - initial weights: `init_encoder` for GCN and GIN at two shapes and
   `init_classifier` at two widths, one .npy file per parameter;
 - the dataset writers: `save_dataset` on the 300-node graph (edges,
@@ -66,6 +67,9 @@ CLASSIFIER_WIDTHS = (8, 1)
 PARTIAL_DRAWS = dict(shuffle_ratio=0.5, mask_ratio=0.3)
 # the large benchmark's density at 10,000 nodes
 LARGE_SPEC = dict(num_nodes=10000, intra_p=0.0014, inter_p=0.00006)
+# uneven blocks: a one-node block, an empty one, and pairs of the two large
+# ones that span several of _block_edges' buffers
+UNEVEN_SPEC = dict(num_nodes=1600, block_sizes=(1, 750, 0, 849))
 
 
 def tree_hashes(root):
@@ -170,6 +174,7 @@ def run_matrix(src, out):
 
     graphs = {"synthetic_default": gk.generate_synthetic(gk.SyntheticSpec()),
               "synthetic_large": gk.generate_synthetic(gk.SyntheticSpec(**LARGE_SPEC)),
+              "synthetic_uneven": gk.generate_synthetic(gk.SyntheticSpec(**UNEVEN_SPEC)),
               **{f"collection_{i}": g for i, g in enumerate(collection.graphs)}}
     for name, graph in graphs.items():
         _write_graph_layer(gk, graph, out / "graph" / name)
