@@ -495,15 +495,13 @@ def train(params, loss_fn, epochs, lr, validate=None):
     Returns (losses, best) with best = (score, epoch), or None without
     validate. A non-finite value raises RuntimeError naming the epoch.
     It holds OpenBLAS to one thread (see _blas), since the thread count
-    changes the last bits of the weight-gradient products. On the main
-    thread, serial trials included, it keeps the heap (_blas.keep_heap), so
-    a step's freed tape is not faulted in again by the next; a pooled trial
-    thread's heap would keep its own peak, so there it is left as it is.
+    changes the last bits of the weight-gradient products. On every thread,
+    pooled trials included, it keeps the heap (_blas.keep_heap), so a
+    step's freed tape is not faulted in again by the next.
     """
     check_epochs(epochs)
     check_lr(lr)
-    if threading.current_thread() is threading.main_thread():
-        keep_heap()
+    keep_heap()
     params = list(params)
     opt = Adam(params, lr=lr)
     losses = []

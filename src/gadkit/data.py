@@ -182,6 +182,19 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.feature_noise <= 0.0:
             raise ValueError("feature noise must be positive")
+        n_struct = self.anomaly_counts()[1]
+        if n_struct and not 2 <= self.clique_size <= n_struct:
+            raise ValueError(f"clique size {self.clique_size} infeasible for "
+                             f"{n_struct} structural anomalies")
+
+    def anomaly_counts(self):
+        """(anomalies, structural anomalies) that generate_synthetic injects."""
+        n_anom = int(round(self.anomaly_fraction * self.num_nodes))
+        if not self.structural:
+            return n_anom, 0
+        if self.contextual:
+            return n_anom, int(round(self.structural_fraction * n_anom))
+        return n_anom, n_anom
 
     def resolved_blocks(self):
         if self.block_sizes:
@@ -229,14 +242,8 @@ def generate_synthetic(spec):
     features = (block_mean[:, None]
                 + spec.feature_noise * rng.standard_normal((n, spec.feature_dim)))
 
-    n_anom = int(round(spec.anomaly_fraction * n))
+    n_anom, n_struct = spec.anomaly_counts()
     anomalies = rng.choice(n, size=n_anom, replace=False)
-    if spec.contextual and spec.structural:
-        n_struct = int(round(spec.structural_fraction * n_anom))
-    elif spec.structural:
-        n_struct = n_anom
-    else:
-        n_struct = 0
     struct_nodes = anomalies[:n_struct]
     context_nodes = anomalies[n_struct:] if spec.contextual else anomalies[n_anom:]
 
@@ -250,8 +257,6 @@ def generate_synthetic(spec):
 
     if n_struct:
         q = spec.clique_size
-        if q < 2 or q > n_struct:
-            raise ValueError(f"clique size {q} infeasible for {n_struct} structural anomalies")
         order = rng.permutation(struct_nodes)
         groups = [order[k:k + q] for k in range(0, n_struct, q)]
         if len(groups) > 1 and groups[-1].size < 2:

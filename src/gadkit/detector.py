@@ -170,11 +170,9 @@ def finetune_run(encoder, graph, split, epochs=EPOCHS, lr=LR, seed=0):
 def end2end_run(encoder_config, graph, split, epochs=EPOCHS, lr=LR, seed=0):
     """Jointly train encoder and classifier on the labeled training nodes."""
     # hold the last full representation until the next forward pass has
-    # replaced it. On the main thread train keeps the heap, and the hold
-    # changes little; pooled trials run without a kept heap, and there,
-    # released earlier, the allocator trims the emptied heap and every epoch
-    # faults its whole working set in again (N=10000 GCN, 25 epochs: 15k
-    # faults and 0.75 s with the hold, 176k and 1.28 s without)
+    # replaced it. With the heap kept (train) the hold changes little: on
+    # N=10000 GCN, 25 epochs, two pooled trials took 0.54-0.69 s a round
+    # with it and 0.60-0.76 s without, in three alternating processes each
     last = {}
 
     def rows(encoder, idx):

@@ -355,7 +355,7 @@ def _map_trials(graph, configs):
     long inner dimension of the weight-gradient products over its threads,
     which changes their last bits, so trials would depend on the worker
     count (and on the machine's cores). Inline trials run on the calling
-    thread, where autodiff.train keeps the heap if it is the main thread.
+    thread; inline or pooled, each trial's autodiff.train keeps the heap.
     A config repeated in configs (same config_hash) raises ValueError
     before any trial runs.
     """

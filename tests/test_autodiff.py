@@ -558,7 +558,7 @@ def test_train_without_validate_ends_at_the_last_step():
     assert losses[-1] == loss.item()
 
 
-def test_train_keeps_the_heap_on_the_main_thread_and_not_on_a_pool(monkeypatch):
+def test_train_keeps_the_heap_on_the_main_thread_and_on_a_pool(monkeypatch):
     calls = []
     monkeypatch.setattr(ad, "keep_heap", lambda: calls.append(1))
     p, loss_fn = _quadratic(np.ones((1, 3)))
@@ -566,7 +566,7 @@ def test_train_keeps_the_heap_on_the_main_thread_and_not_on_a_pool(monkeypatch):
     assert len(calls) == 1
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(ad.train, [p], loss_fn, 2, 0.1).result(timeout=60)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_train_rejects_zero_epochs():

@@ -3,7 +3,7 @@ from pathlib import Path
 import tracemalloc
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -167,6 +167,28 @@ def test_synthetic_validation():
     with pytest.raises(ValueError, match="clique"):
         generate_synthetic(SyntheticSpec(num_nodes=100, anomaly_fraction=0.04,
                                          clique_size=10, seed=0))
+
+
+@pytest.mark.parametrize("fields, n_struct", [
+    ({"clique_size": 1}, 80),
+    ({"clique_size": 0}, 80),
+    ({"clique_size": 81}, 80),
+    ({"contextual": False, "clique_size": 101}, 100),
+    ({"num_nodes": 100, "anomaly_fraction": 0.04, "clique_size": 4}, 3)],
+    ids=["one", "zero", "above-structural", "structural-only", "few-anomalies"])
+def test_synthetic_rejects_an_infeasible_clique_size_when_built(fields, n_struct):
+    with pytest.raises(ValueError, match=f"clique size {fields['clique_size']} "
+                                         f"infeasible for {n_struct} structural"):
+        SyntheticSpec(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"clique_size": 80}, {"clique_size": 1, "structural": False},
+    {"clique_size": 0, "structural_fraction": 0.0}],
+    ids=["structural-count", "no-structural", "no-structural-fraction"])
+def test_synthetic_accepts_any_clique_size_it_will_use_or_ignore(fields):
+    spec = SyntheticSpec(**fields)
+    assert spec.anomaly_counts()[1] in (0, spec.clique_size)
 
 
 @pytest.mark.parametrize("field", ["feature_noise", "feature_shift", "block_feature_gap"])
@@ -337,18 +359,24 @@ def _synthetic_specs(draw):
     # blocks of one node and probabilities of 0 and 1 included
     sizes = draw(st.lists(st.integers(1, 25), min_size=1, max_size=5)
                  .filter(lambda s: sum(s) >= 2))
-    return SyntheticSpec(
-        num_nodes=sum(sizes), num_blocks=len(sizes),
-        block_sizes=tuple(sizes) if draw(st.booleans()) else (),
-        intra_p=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
-        inter_p=draw(st.sampled_from([0.0, 0.02, 0.2])),
-        anomaly_fraction=draw(st.floats(0.01, 0.49)),
-        feature_dim=draw(st.integers(1, 4)),
-        block_feature_gap=draw(st.sampled_from([0.0, 0.7])),
-        clique_size=draw(st.integers(2, 6)),
-        structural_fraction=draw(st.floats(0.0, 1.0)),
-        contextual=draw(st.booleans()), structural=draw(st.booleans()),
-        seed=draw(st.integers(0, 2 ** 32 - 1)))
+    try:
+        return SyntheticSpec(
+            num_nodes=sum(sizes), num_blocks=len(sizes),
+            block_sizes=tuple(sizes) if draw(st.booleans()) else (),
+            intra_p=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+            inter_p=draw(st.sampled_from([0.0, 0.02, 0.2])),
+            anomaly_fraction=draw(st.floats(0.01, 0.49)),
+            feature_dim=draw(st.integers(1, 4)),
+            block_feature_gap=draw(st.sampled_from([0.0, 0.7])),
+            clique_size=draw(st.integers(2, 6)),
+            structural_fraction=draw(st.floats(0.0, 1.0)),
+            contextual=draw(st.booleans()), structural=draw(st.booleans()),
+            seed=draw(st.integers(0, 2 ** 32 - 1)))
+    except ValueError as exc:
+        # a clique size the drawn structural anomalies cannot hold is
+        # rejected when the spec is built
+        assume("infeasible" not in str(exc))
+        raise
 
 
 @settings(max_examples=150, deadline=None)
