@@ -18,8 +18,8 @@ from .diagnostics import classify_density
 from .encoders import ENCODER_KINDS
 from .experiment import (PARADIGMS, ExperimentConfig, SplitRegime,
                          ablation_shuffle_ratio, config_from_dict, grid_search,
-                         load_config_graph, make_split, run_experiment,
-                         split_reachability, sweep_labeled_anomalies)
+                         load_config_graph, plan_trial, run_experiment,
+                         sweep_labeled_anomalies)
 from .graph import graph_stats
 from .graphlevel import downsample_class, graphlevel_pipeline, load_collection
 
@@ -157,8 +157,7 @@ def cmd_diagnose(args):
         "density_class": density.category,
     }
     if (graph.labels == 1).any():  # trial 0's split, as run makes it
-        split = make_split(graph, config, config.base_seed)
-        report["reachability"] = split_reachability(graph, config, split).to_dict()
+        report["reachability"] = plan_trial(graph, config, config.base_seed)[1].to_dict()
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0
 

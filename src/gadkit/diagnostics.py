@@ -45,6 +45,12 @@ class ReachabilityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def check_k_max(k_max):
+    """R_k is reported for k = 1..k_max, so k_max is at least 1."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+
+
 def k_hop_reachable_ratio(graph, labeled_anomalies, unlabeled_anomalies,
                           k_max=K_MAX):
     """ReachabilityReport for R_1..R_{k_max} via one multi-source BFS."""
@@ -56,8 +62,7 @@ def k_hop_reachable_ratio(graph, labeled_anomalies, unlabeled_anomalies,
         raise ValueError("unlabeled anomaly set is empty; the ratio is undefined")
     if np.intersect1d(labeled, unlabeled).size:
         raise ValueError("labeled and unlabeled anomaly sets must be disjoint")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_k_max(k_max)
 
     dist = multi_source_bfs_hops(graph, labeled)
     hops = dist[unlabeled]

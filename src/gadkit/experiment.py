@@ -6,20 +6,23 @@ bit-identical (wall time is kept in memory only, never persisted).
 Layout: <out>/<config-hash>/trial_<t>/{scores.csv, losses.csv,
 reachability.json, metrics.json} plus <out>/<config-hash>/aggregate.json;
 a trial that raised leaves only trial_<t>/error.txt, its traceback.
-A trial measures its split's R_k (split_reachability) before it trains, so
-a split with no test anomaly, no test normal or a k_hops below 1 fails the
-trial at once; it then scores its test nodes with its fitted detector
+A trial makes its split and measures its R_k (plan_trial) before it
+trains; it then scores its test nodes with its fitted detector
 (FitResult.scores).
 
 A run, an ablation, a sweep and a grid each hand one list of configs to one
-trial map of run_trial (a grid records only its winner). With workers > 1
-every trial of the list shares one pool of that many threads; with one,
-they run in order on the calling thread. Either way numpy's
-OpenBLAS is held to one thread while the trials run and restored afterwards,
-so trial threads and BLAS threads do not compete for the cores, and the
-worker count changes no result bit. Files are written config by config once
-every trial of the list has run; a config whose trials all failed raises
-RuntimeError after those before it are written.
+trial map of run_trial (a grid records only its winner). The map first
+plans each config's trial at its base seed, so a split that cannot be made,
+or leaves no test anomaly or no test normal, raises that ValueError before
+any trial runs: those failures depend only on the graph's label counts and
+the config, never on the seed. With workers > 1 every trial of the list
+shares one pool of that many threads; with one, they run in order on the
+calling thread. Either way numpy's OpenBLAS is held to one thread while the
+trials run and restored afterwards, so trial threads and BLAS threads do not
+compete for the cores, and the worker count changes no result bit. Files are
+written config by config once every trial of the list has run; a config
+whose trials all failed raises RuntimeError after those before it are
+written.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +45,7 @@ from .data import (SEMI_ANOMALIES, SEMI_NORMALS, DatasetPaths, SyntheticSpec,
                    load_dataset, make_full_split, make_semi_split, write_csv,
                    write_text)
 from .detector import end2end_run, finetune_run, save_scores
-from .diagnostics import K_MAX, k_hop_reachable_ratio
+from .diagnostics import K_MAX, check_k_max, k_hop_reachable_ratio
 from .encoders import EncoderConfig
 from .graph import UNREACHABLE
 from .metrics import auprc, auroc, hop_avg_rank, normalized_ranks
@@ -117,6 +120,7 @@ class ExperimentConfig:
         check_shuffle_ratio(self.shuffle_ratio)
         check_mask_ratio(self.mask_ratio)
         check_sce_gamma(self.sce_gamma)
+        check_k_max(self.k_hops)
         self.encoder_config(1)  # EncoderConfig checks the encoder fields
 
     def resolved_activation(self):
@@ -182,23 +186,23 @@ def load_config_graph(config):
                         config.dataset.labels)
 
 
-def make_split(graph, config, seed):
-    """The split of config's trial at seed (trial t's seed is base_seed + t)."""
+def plan_trial(graph, config, seed):
+    """(split, report) of config's trial at seed (trial t's seed is
+    base_seed + t): the split, and R_1..R_{k_hops} of its training anomalies
+    against its test anomalies (in test order). Raises ValueError when the
+    split cannot be made, either set is empty or the test set has no normal,
+    whose AUROC would be undefined."""
     if config.split.regime == "semi":
-        return make_semi_split(graph, n_anom=config.split.n_anom,
-                               n_norm=config.split.n_norm, seed=seed)
-    return make_full_split(graph, config.split.train_ratio, seed=seed)
-
-
-def split_reachability(graph, config, split):
-    """R_1..R_{k_hops} of split's training anomalies against its test
-    anomalies (in test order); raises ValueError when either set is empty or
-    the test set has no normal, whose AUROC would be undefined."""
+        split = make_semi_split(graph, n_anom=config.split.n_anom,
+                                n_norm=config.split.n_norm, seed=seed)
+    else:
+        split = make_full_split(graph, config.split.train_ratio, seed=seed)
     test_labels = graph.labels[split.test]
     if not (test_labels == 0).any():
         raise ValueError("test set has no normal node; its AUROC is undefined")
-    return k_hop_reachable_ratio(graph, split.train_anomalies,
-                                 split.test[test_labels == 1], k_max=config.k_hops)
+    return split, k_hop_reachable_ratio(graph, split.train_anomalies,
+                                        split.test[test_labels == 1],
+                                        k_max=config.k_hops)
 
 
 def _train_models(graph, config, split, seed):
@@ -244,8 +248,7 @@ class TrialResult:
 
 def run_trial(graph, config, seed):
     started = time.perf_counter()
-    split = make_split(graph, config, seed)
-    report = split_reachability(graph, config, split)
+    split, report = plan_trial(graph, config, seed)
     fit, losses = _train_models(graph, config, split, seed)
 
     sv = fit.scores(split.test)
@@ -357,7 +360,9 @@ def _map_trials(graph, configs):
     count (and on the machine's cores). Inline trials run on the calling
     thread; inline or pooled, each trial's autodiff.train keeps the heap.
     A config repeated in configs (same config_hash) raises ValueError
-    before any trial runs.
+    before any trial runs, and so does a config whose trial planned at its
+    base seed (plan_trial) raises: a plan fails on the label counts and the
+    config alone, so that trial fails exactly when every trial would.
     """
     first = {}
     for i, config in enumerate(configs):
@@ -365,6 +370,8 @@ def _map_trials(graph, configs):
             raise ValueError(f"configs {j} and {i} are the same config "
                              f"({config.config_hash()})")
     _ = graph.adjacency, graph.normalized_adjacency
+    for config in configs:
+        plan_trial(graph, config, config.base_seed)
 
     def attempt(job):
         config, t = job
@@ -508,20 +515,13 @@ def sweep_labeled_anomalies(config, counts):
     counts = [int(count) for count in counts]
     if not counts:
         raise ValueError("no labeled-anomaly counts given")
-    if min(counts) < 1:
-        raise ValueError(f"labeled-anomaly count {min(counts)} is below 1")
-    graph = load_config_graph(config)
-    available = int((graph.labels == 1).sum())
-    for count in counts:
-        # train + disjoint validation anomalies, plus at least one for test
-        if count + SEMI_ANOMALIES + 1 > available:
-            raise ValueError(f"count {count} exceeds available anomalies "
-                             f"({available} total, {SEMI_ANOMALIES} reserved "
-                             "for validation)")
+    if config.k_hops < 2:
+        raise ValueError(f"the labeled-anomaly sweep reports R_2, so k_hops must "
+                         f"be at least 2, got {config.k_hops}")
     configs = [replace(config, split=replace(config.split, n_anom=c)) for c in counts]
-    results = _run_on_graph(graph, configs)
+    results = _run_on_graph(load_config_graph(config), configs)
     rows = [(c, res.aggregate["metrics"]["auroc"]["mean"],
-             res.aggregate["metrics"].get("r2", {}).get("mean"))
+             res.aggregate["metrics"]["r2"]["mean"])
             for c, res in zip(counts, results)]
     _write_csv(config, "sweep_labels.csv",
                ["n_labeled_anomalies", "mean_auroc", "mean_r2"], rows)

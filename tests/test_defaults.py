@@ -80,7 +80,7 @@ def test_label_sweep_reserves_make_semi_splits_validation_default():
     spec = SyntheticSpec(num_nodes=300, anomaly_fraction=0.2, clique_size=4,
                          feature_dim=6, seed=11)  # 60 anomalies
     config = ExperimentConfig(dataset=spec, trials=1)
-    with pytest.raises(ValueError, match=f"{val_anom} reserved for validation"):
+    with pytest.raises(ValueError, match="unlabeled anomaly set is empty"):
         sweep_labeled_anomalies(config, [60 - val_anom])
 
 
@@ -328,6 +328,8 @@ RULES = {
                     lambda g: make_full_split(g, 1.5), {}),
     "base_seed": (lambda: ExperimentConfig(dataset=None, base_seed=-1),
                   lambda g: make_semi_split(g, seed=-1), {}),
+    "k_hops": (lambda: ExperimentConfig(dataset=None, k_hops=0),
+               lambda g: k_hop_reachable_ratio(g, [0], [1], k_max=0), {}),
 }
 
 

@@ -4,7 +4,10 @@ import os
 from pathlib import Path
 import sys
 import threading
+from unittest import mock
+import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from gadkit import _blas, autodiff
 import gadkit.experiment as ex
 import gadkit.graph
 from gadkit.data import SyntheticSpec
+from gadkit.encoders import ENCODER_KINDS
 from gadkit.experiment import (ExperimentConfig, SplitRegime,
                                ablation_shuffle_ratio, grid_search,
                                run_experiment, sweep_labeled_anomalies)
@@ -580,13 +584,13 @@ def test_sweep_labels_validates():
     with pytest.raises(ValueError, match="semi"):
         sweep_labeled_anomalies(
             tiny_config(split=SplitRegime(regime="full")), [1])
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="insufficient labeled nodes"):
         sweep_labeled_anomalies(tiny_config(), [59])  # 60 anomalies total
 
 
 def test_sweep_labels_rejects_a_count_below_one_before_it_runs(tmp_path):
     out_dir = tmp_path / "out"
-    with pytest.raises(ValueError, match="count 0 is below 1"):
+    with pytest.raises(ValueError, match="split sizes must be positive, got n_anom=0"):
         sweep_labeled_anomalies(tiny_config(out_dir=str(out_dir)), [5, 0])
     assert not out_dir.exists()
 
@@ -665,7 +669,7 @@ def test_sweep_rejects_a_bad_count_before_running_any(tmp_path, monkeypatch):
         return real(graph, config, seed)
 
     monkeypatch.setattr(ex, "run_trial", counting)
-    with pytest.raises(ValueError, match="count 59 exceeds"):
+    with pytest.raises(ValueError, match="insufficient labeled nodes"):
         sweep_labeled_anomalies(tiny_config(out_dir=str(tmp_path)), [1, 59])
     assert calls == []
     assert os.listdir(tmp_path) == []
@@ -679,6 +683,15 @@ def test_an_empty_list_is_rejected_before_the_graph_loads(tmp_path, monkeypatch,
     monkeypatch.setattr(ex, "load_config_graph", loads.append)
     with pytest.raises(ValueError, match="no .* given"):
         call(tiny_config(out_dir=str(tmp_path / "out")))
+    assert loads == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_the_sweep_rejects_k_hops_below_two_before_the_graph_loads(tmp_path, monkeypatch):
+    loads = []
+    monkeypatch.setattr(ex, "load_config_graph", loads.append)
+    with pytest.raises(ValueError, match="k_hops must be at least 2, got 1"):
+        sweep_labeled_anomalies(tiny_config(k_hops=1, out_dir=str(tmp_path / "out")), [5])
     assert loads == []
     assert os.listdir(tmp_path) == []
 
@@ -766,9 +779,8 @@ def test_a_trial_whose_split_has_no_reachability_fails_before_training(
         monkeypatch, overrides, match):
     trained = []
     monkeypatch.setattr(ex, "_train_models", lambda *args: trained.append(args))
-    with pytest.raises(RuntimeError, match=match):
-        with pytest.warns(UserWarning, match="2 of 2 trials failed"):
-            run_experiment(tiny_config(trials=2, **overrides))
+    with pytest.raises(ValueError, match=match):
+        run_experiment(tiny_config(trials=2, **overrides))
     assert trained == []
 
 
@@ -780,3 +792,51 @@ def test_a_config_without_a_dataset_fails_before_any_trial(monkeypatch, run):
     with pytest.raises(ValueError, match="config has no dataset"):
         run(tiny_config(dataset=None))
     assert trials == []
+
+
+@st.composite
+def _small_config_fields(draw):
+    """(SyntheticSpec, SplitRegime, ExperimentConfig) keyword arguments of a
+    small config, any of which may be rejected when built."""
+    spec = dict(num_nodes=draw(st.integers(2, 400)), num_blocks=draw(st.integers(1, 6)),
+                intra_p=draw(st.floats(0.0, 1.0)), inter_p=draw(st.floats(0.0, 1.0)),
+                anomaly_fraction=draw(st.floats(0.01, 0.49)),
+                feature_dim=draw(st.integers(1, 4)), clique_size=draw(st.integers(1, 12)),
+                structural_fraction=draw(st.floats(0.0, 1.0)),
+                contextual=draw(st.booleans()), structural=draw(st.booleans()),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        split = dict(regime="semi", n_anom=draw(st.integers(1, 30)),
+                     n_norm=draw(st.integers(1, 120)))
+    else:
+        split = dict(regime="full", train_ratio=draw(st.floats(0.05, 0.95)))
+    config = dict(paradigm=draw(st.sampled_from(ex.PARADIGMS)),
+                  encoder_kind=draw(st.sampled_from(ENCODER_KINDS)), hidden_dim=3,
+                  epochs=draw(st.integers(1, 2)), pretrain_epochs=draw(st.integers(1, 2)),
+                  trials=draw(st.integers(1, 2)), k_hops=draw(st.integers(1, 3)),
+                  base_seed=draw(st.integers(0, 1000)))
+    return spec, split, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_config_fields())
+def test_a_config_raises_before_it_trains_or_every_trial_completes(fields):
+    """A failure that does not depend on the seed is a ValueError raised when
+    the config is built or before its first trial; any other config runs
+    every trial to completion, with no warning."""
+    spec, split, config = fields
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            built = ExperimentConfig(dataset=SyntheticSpec(**spec),
+                                     split=SplitRegime(**split), **config)
+        except ValueError:
+            return
+        with mock.patch.object(ex, "_train_models", wraps=ex._train_models) as train:
+            try:
+                result = run_experiment(built)
+            except ValueError:
+                assert train.call_count == 0
+                return
+    assert result.ok
+    assert train.call_count == built.trials
